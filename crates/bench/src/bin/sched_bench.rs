@@ -1,6 +1,12 @@
 //! Emits `BENCH_sched.json`: the work-stealing serving tier measured
 //! against static `id % workers` sharding.
 //!
+//! Both columns run the same per-worker scheduler with the same bounded
+//! admission (32 live engines per worker); the only difference is that
+//! the static column never moves work. So the gap between them is what
+//! stealing and migration buy, not a difference in how many engines are
+//! live at once.
+//!
 //! Two experiments, both correctness-gated (a row is only published
 //! when every task completed with its pinned checksum and the
 //! completion manifest is exact):
@@ -195,6 +201,9 @@ fn main() {
     out.push_str(&format!(
         "  \"workers\": {WORKERS},\n  \"slice\": {SLICE},\n  \"quick\": {quick},\n"
     ));
+    out.push_str(
+        "  \"note\": \"static = stealing off; both columns admit at most 32 live engines per worker\",\n",
+    );
     out.push_str("  \"fleets\": [\n");
     for (i, &tasks) in fleets.iter().enumerate() {
         let spec = fleet_spec(tasks);

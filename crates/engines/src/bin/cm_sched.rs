@@ -12,30 +12,35 @@
 //!          [--replay-schedule PATH]
 //! ```
 //!
-//! With `--checkpoint` the per-worker schedulers become supervisors:
-//! every task is snapshotted at every suspension, and a faulting task
-//! (runtime error, injected fault, heap limit, deadline) restarts from
-//! its last checkpoint with exponential backoff instead of retiring.
-//! `--fail-prim-at N` arms deterministic fault injection on every
-//! engine, which together with `--checkpoint` demonstrates end-to-end
-//! crash recovery: the run exits zero only when every task still
-//! completes with the expected result.
-//!
 //! Every task is one engine: a §2 example or a small-scale workload
 //! entry, compiled against its worker's shared globals and preempted
-//! every `--slice` instructions. With verification on (the default),
-//! each task's sliced result is compared against the uninterrupted
-//! expectation — a mismatch means suspend/resume corrupted marks,
-//! winders, or frames, and the run exits nonzero.
+//! every `--slice` instructions. Each worker runs one scheduler over a
+//! bounded local set of engines admitted from its own queue. With
+//! verification on (the default), each task's sliced result is compared
+//! against the uninterrupted expectation — a mismatch means
+//! suspend/resume corrupted marks, winders, or frames, and the run exits
+//! nonzero.
 //!
-//! With `--steal` the pool becomes a work-stealing serving tier: idle
-//! workers take fresh jobs from the back of other workers' queues, and
-//! with `--migrate` they also take *started* engines, serialized
-//! through the snapshot codec at the victim's next suspension.
+//! With `--checkpoint` the schedulers become supervisors: every task is
+//! snapshotted at every suspension, and a faulting task (runtime error,
+//! injected fault, heap limit, deadline) restarts from its last
+//! checkpoint with exponential backoff instead of retiring.
+//! `--fail-prim-at N` arms deterministic fault injection on every
+//! engine, which together with `--checkpoint` demonstrates end-to-end
+//! crash recovery: an injected fault models a crash, so the restarted
+//! attempt runs without it, and the run exits zero only when every task
+//! still completes with the expected result.
+//!
+//! With `--steal` the same schedulers may move work: idle workers take
+//! fresh jobs from the back of other workers' queues, and with
+//! `--migrate` a busy worker also hands a *started* engine to a hungry
+//! one at its next suspension, serialized through the snapshot codec.
+//! Stealing combines with `--checkpoint` and `--policy edf`.
 //! `--record-schedule PATH` writes every cross-worker move as a
-//! deterministic steal schedule; `--replay-schedule PATH` re-runs it in
-//! the single-threaded simulator, reproducing every migration decision
-//! exactly.
+//! deterministic steal schedule; `--replay-schedule PATH` re-runs it on
+//! the virtual-tick driver (every worker's scheduler on one thread),
+//! reproducing every migration decision exactly. The schedule must have
+//! been recorded with the same `--workers`.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -101,7 +106,7 @@ const USAGE: &str = "usage: cm-sched [--quick] [--tasks N] [--workers N] [--slic
 
   --quick           CI preset: 200 tasks, 4 workers, slice 2000, invariants on
   --tasks N         total engines to schedule (default 1000)
-  --workers N       worker threads, each with its own scheduler (default 4)
+  --workers N       workers, each with its own scheduler (default 4)
   --slice FUEL      instructions per slice (default 10000)
   --policy P        rr (round-robin, default) or edf (earliest deadline first)
   --config NAME     engine configuration (repeatable; `all` = the paper's 7)
@@ -118,14 +123,17 @@ const USAGE: &str = "usage: cm-sched [--quick] [--tasks N] [--workers N] [--slic
                     heap bytes exceed this budget (backpressure)
   --fail-prim-at N  arm fault injection: every engine fails its Nth
                     primitive call (pairs with --checkpoint for recovery)
-  --steal           work-stealing pool: idle workers take fresh jobs from
-                    the back of other workers' queues
+  --steal           let workers move work: idle ones take fresh jobs from
+                    the back of other workers' queues (combines with
+                    --checkpoint and --policy edf)
   --migrate         with --steal: also migrate *started* engines via the
                     snapshot codec at the victim's next suspension
   --record-schedule PATH  write every cross-worker move as a replayable
                     steal schedule (implies --steal)
-  --replay-schedule PATH  replay a recorded schedule deterministically in
-                    the single-threaded simulator (implies --steal)";
+  --replay-schedule PATH  replay a recorded schedule deterministically on
+                    one thread, stepping the same schedulers (implies
+                    --steal; the schedule's worker count must match
+                    --workers)";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
@@ -226,12 +234,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.tasks == 0 {
         return Err("--tasks must be at least 1".into());
-    }
-    if args.steal && args.checkpoint {
-        // Checkpoint supervision belongs to the static pool's
-        // single-threaded scheduler; the stealing pool drives engines
-        // with its own queue loop.
-        return Err("--steal and --checkpoint are mutually exclusive".into());
     }
     Ok(args)
 }
@@ -388,6 +390,15 @@ fn main() -> ExitCode {
     let replay = match &args.replay_schedule {
         Some(path) => match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
             Ok(text) => match StealSchedule::parse(&text) {
+                Ok(s) if s.workers != args.workers => {
+                    eprintln!(
+                        "cm-sched: {}: schedule was recorded on {} workers, but --workers is {}",
+                        path.display(),
+                        s.workers,
+                        args.workers
+                    );
+                    return ExitCode::from(2);
+                }
                 Ok(s) => Some(s),
                 Err(e) => {
                     eprintln!("cm-sched: {}: {e}", path.display());

@@ -177,6 +177,14 @@ impl Engine {
         self.machine.check_invariants()
     }
 
+    /// Clears an armed [`FaultPlan::fail_prim_at`](cm_vm::FaultPlan)
+    /// injection. The supervisor calls this on an engine restarted after
+    /// an injected fault: the injection models a crash, which a restarted
+    /// attempt does not meet again.
+    pub(crate) fn disarm_injected_fault(&mut self) {
+        self.machine.config.fault_plan.fail_prim_at = None;
+    }
+
     /// Whether the engine has been preempted at least once and not yet
     /// finished.
     pub fn is_suspended(&self) -> bool {

@@ -9,19 +9,25 @@
 //! become *engines* in the Dybvig–Hieb sense: values that run for a fuel
 //! slice and either finish or hand back a resumable remainder.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`engine`] — [`Engine`]: one suspendable program;
 //!   [`WorkerHost`]: a prelude-loaded compiler + globals that spawns
 //!   engines cheaply.
-//! * [`sched`] — [`Scheduler`]: interleaves many engines on one thread
-//!   (round-robin or earliest-deadline-first), enforcing per-task
-//!   [`MachineConfig::deadline`](cm_vm::MachineConfig) timeouts and
-//!   producing per-task [`TaskReport`]s.
-//! * [`pool`] — [`run_pool`]: shards `Send` job specs across N worker
-//!   threads, each with its own host and scheduler (the VM is `Rc`-based,
-//!   so engines never migrate), and aggregates throughput / latency /
-//!   fairness [`SchedMetrics`].
+//! * [`sched`] — [`Scheduler`]: the one per-worker state machine that
+//!   runs engine slices. It interleaves a local set of engines on one
+//!   thread (round-robin or earliest-deadline-first), enforces per-task
+//!   [`MachineConfig::deadline`](cm_vm::MachineConfig) timeouts,
+//!   optionally checkpoints and restarts faulting tasks, and produces
+//!   per-task [`TaskReport`]s.
+//! * [`pool`] — [`run_pool`]: N workers, each a host plus a scheduler
+//!   with a bounded local set admitted from its own inbox, and
+//!   throughput / latency / fairness [`SchedMetrics`] over the batch.
+//! * [`steal`] — work stealing: the same workers may take queued jobs
+//!   from each other and hand *started* engines across threads as
+//!   snapshot bytes (engines are `Rc`-based, so only bytes migrate), and
+//!   a virtual-tick driver replays a recorded [`StealSchedule`]
+//!   deterministically on one thread through the same schedulers.
 //!
 //! The `cm-sched` binary drives the paper's §2 examples and the
 //! benchmark workloads through the pool concurrently and reports the

@@ -1,31 +1,46 @@
-//! A multi-worker pool: N OS threads, each owning a [`WorkerHost`] and a
-//! [`Scheduler`], with jobs sharded across them.
+//! The worker pool: N workers, each a [`WorkerHost`] plus a
+//! [`Scheduler`], running a batch of jobs.
 //!
-//! The VM's values are `Rc`-based and single-threaded by design, so the
-//! pool never moves an engine between threads. Instead, only `Send` data
-//! crosses the boundary: job *specs* (source strings) go in, rendered
+//! The VM's values are `Rc`-based and single-threaded by design, so only
+//! `Send` data crosses between workers: job *specs* (source strings) and
+//! parked engines serialized as [`MigrationTicket`]s go in, rendered
 //! [`TaskReport`]s come out. Each worker builds its own prelude-loaded
-//! host, loads the workload definitions once, spawns its shard of engines
-//! against those shared globals, and drives them with its own scheduler.
+//! host, loads the workload definitions once, and admits work from its
+//! own inbox into its scheduler's bounded local set.
 //!
-//! Sharding is static round-robin by submission index — deterministic, no
-//! work stealing — which keeps per-worker results reproducible and makes
-//! the fairness numbers attributable to the *scheduler*, not to shard
-//! luck. Setting [`PoolConfig::steal`] replaces the static sharding with
-//! per-worker run queues, work stealing, and snapshot-based engine
-//! migration (see [`steal`](crate::steal)); the static path stays the
-//! default so the sliced-vs-uninterrupted oracle keeps running against
-//! an unmoving pool.
+//! Jobs start sharded round-robin by submission index (`id % workers`).
+//! With [`PoolConfig::steal`] unset nothing ever moves, which keeps
+//! per-worker results reproducible and makes the fairness numbers
+//! attributable to the *scheduler*, not to shard luck. Setting it turns
+//! on work stealing and snapshot-based migration (see
+//! [`steal`]) — the same workers and schedulers, with an
+//! idle worker allowed to take work and a busy one to give it away.
+//!
+//! Two drivers run the workers. The threaded driver gives each worker an
+//! OS thread and decides moves from the workers' hunger. The virtual-tick
+//! driver ([`StealConfig::replay`], [`StealConfig::kill_workers`]) runs
+//! every worker on the calling thread, one [`Scheduler`] step per live
+//! worker per tick, and decides moves from a recorded [`StealSchedule`].
+//! Both drive the same per-worker [`Scheduler`], so a replay exercises
+//! the production scheduling code.
 
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use cm_core::EngineConfig;
 
-use crate::engine::WorkerHost;
-use crate::sched::{Outcome, SchedConfig, SchedMetrics, Scheduler, TaskReport};
-use crate::spans::{Span, SpanLog};
-use crate::steal::{self, StealConfig, StealSchedule};
+use crate::engine::{Engine, WorkerHost};
+use crate::sched::{
+    Ledger, Outcome, Packet, SchedConfig, SchedMetrics, Scheduler, Seat, Task, TaskReport,
+};
+use crate::spans::Span;
+use crate::steal::{self, StealConfig, StealEvent, StealSchedule};
+
+#[cfg(doc)]
+use crate::engine::MigrationTicket;
 
 /// One unit of work: an expression to run (against the pool's shared
 /// setup definitions), plus what it should produce.
@@ -36,7 +51,7 @@ pub struct JobSpec {
     /// Entry expression, compiled into a fresh engine on the worker.
     pub run: String,
     /// Expected result (display string). `None` with
-    /// [`PoolSpec::verify`] set means the worker computes a baseline by
+    /// [`PoolSpec::verify`] set means a worker computes a baseline by
     /// evaluating `run` uninterrupted before scheduling it.
     pub expected: Option<String>,
 }
@@ -51,24 +66,23 @@ pub struct PoolSpec {
     pub jobs: Vec<JobSpec>,
     /// Check every completed job's result against its expectation;
     /// missing expectations are filled by an uninterrupted baseline run
-    /// on the worker.
+    /// on a worker.
     pub verify: bool,
 }
 
 /// Pool-level knobs.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Worker-thread count (clamped to at least 1).
+    /// Worker count (clamped to at least 1).
     pub workers: usize,
     /// Scheduler configuration, cloned into every worker.
     pub sched: SchedConfig,
     /// Engine configuration (one of the eight engine variants), cloned
     /// into every worker.
     pub engine: EngineConfig,
-    /// Work-stealing mode. `None` (the default) keeps the static
-    /// sharded pool. `Some` with [`StealConfig::replay`] unset runs the
-    /// multithreaded stealing pool; with `replay` set it runs the
-    /// deterministic single-threaded simulator instead.
+    /// Work stealing. `None` (the default) never moves work. `Some` runs
+    /// the threaded stealing pool, or the virtual-tick driver when
+    /// [`StealConfig::replay`] or [`StealConfig::kill_workers`] is set.
     pub steal: Option<StealConfig>,
 }
 
@@ -83,7 +97,7 @@ impl Default for PoolConfig {
     }
 }
 
-/// What one worker thread produced.
+/// What one worker produced.
 #[derive(Debug)]
 pub struct WorkerSummary {
     /// Worker index (also the shard residue).
@@ -96,9 +110,9 @@ pub struct WorkerSummary {
     /// This worker's own wall time (setup + baselines + scheduling).
     pub wall: Duration,
     /// Timeline spans (one `"worker"` span plus per-slice `"slice"`
-    /// spans), all relative to the pool's start and tagged with this
-    /// worker's index as `tid`. Empty unless
-    /// [`SchedConfig::record_spans`].
+    /// spans and `"steal"`/`"migrate"` marks), all relative to the
+    /// pool's start and tagged with this worker's index as `tid`. Empty
+    /// unless [`SchedConfig::record_spans`].
     pub spans: Vec<Span>,
     /// Instructions this worker actually executed (across every task it
     /// ran slices of, including tasks that later migrated away). The
@@ -106,7 +120,7 @@ pub struct WorkerSummary {
     /// unlike per-task fairness, it stays meaningful when tasks want
     /// wildly different amounts of work.
     pub steps_executed: u64,
-    /// Set if the worker thread panicked; its remaining jobs are lost.
+    /// Set if the worker thread panicked; the tasks it held fail.
     pub panicked: Option<String>,
 }
 
@@ -120,9 +134,8 @@ pub struct PoolReport {
     /// Metrics over every task from every worker.
     pub metrics: SchedMetrics,
     /// Every cross-worker move, when the stealing pool ran with
-    /// [`StealConfig::record`] (or replayed a schedule). Feed it back
-    /// through [`StealConfig::replay`] to reproduce the run
-    /// deterministically.
+    /// [`StealConfig::record`]. Feed it back through
+    /// [`StealConfig::replay`] to reproduce the run deterministically.
     pub schedule: Option<StealSchedule>,
     /// Pool-level spans (one `"pool"` metrics span carrying
     /// p50/p95/p99, Jain fairness, and migration counts). Empty unless
@@ -166,141 +179,458 @@ impl PoolReport {
     }
 }
 
-fn run_worker(
-    worker: usize,
-    config: &PoolConfig,
-    spec: &PoolSpec,
-    shard: Vec<(usize, JobSpec)>,
+/// Poison-tolerant lock: a panicked worker must not cascade into every
+/// survivor that touches the same queue. Every update under these locks
+/// is a single push, pop or insert, so the data is valid at every step.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn lane(worker: usize) -> u32 {
+    u32::try_from(worker).unwrap_or(u32::MAX)
+}
+
+/// Pool state every worker shares, under either driver.
+pub(crate) struct Shared<'a> {
+    config: &'a PoolConfig,
+    spec: &'a PoolSpec,
+    /// Turnaround and span origin.
     epoch: Instant,
-) -> WorkerSummary {
-    let start = Instant::now();
-    let mut reports = Vec::new();
-    let mut mismatches = Vec::new();
-    let mut host = WorkerHost::new(config.engine.clone());
-    for (i, setup) in spec.setups.iter().enumerate() {
-        if let Err(e) = host.load(setup) {
-            // Setup failure dooms the whole shard; report each job.
-            for (id, job) in &shard {
-                reports.push(TaskReport {
-                    id: *id,
-                    name: job.name.clone(),
-                    outcome: Outcome::Failed(format!("worker setup #{i} failed: {e}")),
-                    slices: 0,
-                    steps: 0,
-                    allocations: 0,
-                    collections: 0,
-                    bytes_live_peak: 0,
-                    turnaround: Duration::ZERO,
-                    retries: 0,
-                    checkpoints: 0,
-                    migrations: 0,
-                    steals: 0,
-                });
-            }
-            return WorkerSummary {
-                worker,
-                reports,
-                mismatches,
-                wall: start.elapsed(),
-                spans: Vec::new(),
-                steps_executed: 0,
-                panicked: None,
-            };
+    /// Per-worker inboxes of packets not yet admitted to a local set.
+    inboxes: Vec<Mutex<VecDeque<Packet>>>,
+    /// Raised by an idle worker; a busy one donates at its next
+    /// suspension to the first hungry peer it finds.
+    hungry: Vec<AtomicBool>,
+    /// Workers still running (the virtual-tick driver kills workers).
+    alive: Vec<AtomicBool>,
+    /// Tasks not yet retired anywhere.
+    remaining: AtomicUsize,
+    /// Tasks each worker holds materialized: what a panicked worker's
+    /// thread takes down with it.
+    custody: Vec<Mutex<HashMap<usize, String>>>,
+    recorded: Option<Mutex<Vec<StealEvent>>>,
+    /// Replayed migrations keyed by `(task, suspension)`; `None` under
+    /// the threaded driver.
+    moves: Option<HashMap<(usize, u64), Vec<StealEvent>>>,
+    /// Verification baselines for jobs without an expectation, computed
+    /// once on whichever worker first needs one.
+    baselines: Vec<OnceLock<Option<String>>>,
+}
+
+impl<'a> Shared<'a> {
+    fn new(
+        config: &'a PoolConfig,
+        spec: &'a PoolSpec,
+        moves: Option<HashMap<(usize, u64), Vec<StealEvent>>>,
+    ) -> Shared<'a> {
+        let workers = config.workers.max(1);
+        let inboxes: Vec<Mutex<VecDeque<Packet>>> =
+            (0..workers).map(|_| Mutex::default()).collect();
+        for id in 0..spec.jobs.len() {
+            let ledger = Ledger::default();
+            lock(&inboxes[id % workers]).push_back(Packet::Fresh { id, ledger });
+        }
+        let flags = |v| (0..workers).map(|_| AtomicBool::new(v)).collect();
+        Shared {
+            config,
+            spec,
+            epoch: Instant::now(),
+            inboxes,
+            hungry: flags(false),
+            alive: flags(true),
+            remaining: AtomicUsize::new(spec.jobs.len()),
+            custody: (0..workers).map(|_| Mutex::default()).collect(),
+            recorded: config
+                .steal
+                .as_ref()
+                .filter(|s| s.record)
+                .map(|_| Mutex::default()),
+            moves,
+            baselines: spec.jobs.iter().map(|_| OnceLock::new()).collect(),
         }
     }
-    // Uninterrupted baselines for verification, computed before any
-    // sliced run touches the shared globals.
-    let mut expectations: Vec<Option<String>> = Vec::with_capacity(shard.len());
-    for (_, job) in &shard {
-        if let Some(e) = &job.expected {
-            expectations.push(Some(e.clone()));
-        } else if spec.verify {
-            match host.eval(&job.run) {
-                Ok(v) => expectations.push(Some(v.write_string())),
-                Err(e) => {
-                    mismatches.push(format!("{}: baseline run failed: {e}", job.name));
-                    expectations.push(None);
-                }
-            }
-        } else {
-            expectations.push(None);
+
+    pub(crate) fn workers(&self) -> usize {
+        self.inboxes.len()
+    }
+
+    pub(crate) fn kill(&self, w: usize) {
+        self.alive[w].store(false, Ordering::SeqCst);
+    }
+
+    pub(crate) fn is_alive(&self, w: usize) -> bool {
+        self.alive[w].load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn remaining(&self) -> usize {
+        self.remaining.load(Ordering::SeqCst)
+    }
+
+    /// The next live worker at or after `want`, cyclically.
+    pub(crate) fn route(&self, want: usize) -> Option<usize> {
+        let n = self.workers();
+        (0..n)
+            .map(|d| (want % n + d) % n)
+            .find(|&w| self.is_alive(w))
+    }
+
+    fn name<'p>(&'p self, packet: &'p Packet) -> &'p str {
+        match packet {
+            Packet::Fresh { id, .. } => &self.spec.jobs[*id].name,
+            Packet::Parked { name, .. } => name,
         }
     }
-    let mut sched = Scheduler::new(config.sched.clone());
-    // Spans from every worker share the pool's start as their origin, so
-    // the per-worker lanes line up on one timeline.
-    let tid = u32::try_from(worker).unwrap_or(u32::MAX);
-    sched.set_span_log(SpanLog::with_origin(epoch), tid);
-    let mut submitted: Vec<(usize, Option<String>)> = Vec::with_capacity(shard.len());
-    for ((id, job), expected) in shard.iter().zip(expectations) {
-        match host.spawn(&job.run) {
-            Ok(engine) => {
-                let task = sched.submit(job.name.clone(), engine);
-                debug_assert_eq!(task, submitted.len());
-                submitted.push((*id, expected));
-            }
-            Err(e) => reports.push(TaskReport {
-                id: *id,
-                name: job.name.clone(),
-                outcome: Outcome::Failed(format!("compile failed: {e}")),
-                slices: 0,
-                steps: 0,
-                allocations: 0,
-                collections: 0,
-                bytes_live_peak: 0,
-                turnaround: Duration::ZERO,
-                retries: 0,
-                checkpoints: 0,
-                migrations: 0,
-                steals: 0,
-            }),
+
+    /// Moves a packet into worker `to`'s inbox as `hops` steals,
+    /// recording the move.
+    pub(crate) fn deliver(&self, mut packet: Packet, from: usize, to: usize, hops: u32) {
+        packet.ledger_mut().steals += hops;
+        if let Some(recorded) = &self.recorded {
+            lock(recorded).push(StealEvent {
+                task: packet.id(),
+                suspension: packet.ledger().slices,
+                from,
+                to,
+            });
         }
+        lock(&self.inboxes[to]).push_back(packet);
     }
-    let (mut retired, span_log) = sched.run_all_traced();
-    for r in &mut retired {
-        let (global_id, expected) = &submitted[r.id];
-        if let (Outcome::Completed(got), Some(want)) = (&r.outcome, expected) {
-            if got != want {
-                mismatches.push(format!(
-                    "{}: sliced run produced {got}, uninterrupted run produced {want}",
-                    r.name
-                ));
+
+    /// Takes the never-run job `task` out of whichever inbox holds it.
+    pub(crate) fn take_fresh(&self, task: usize) -> Option<(usize, Packet)> {
+        self.inboxes.iter().enumerate().find_map(|(w, inbox)| {
+            let mut inbox = lock(inbox);
+            let pos = inbox
+                .iter()
+                .position(|p| matches!(p, Packet::Fresh { id, .. } if *id == task))?;
+            inbox.remove(pos).map(|p| (w, p))
+        })
+    }
+
+    /// The report of a packet that will never run.
+    pub(crate) fn fail(&self, packet: Packet, msg: String) -> TaskReport {
+        let name = self.name(&packet).to_string();
+        let outcome = Outcome::Failed(msg);
+        let elapsed = self.epoch.elapsed();
+        packet.ledger().report(packet.id(), name, outcome, elapsed)
+    }
+
+    /// Fails whatever is left in the inboxes, and gathers the report.
+    fn finish(self, mut summaries: Vec<WorkerSummary>) -> PoolReport {
+        summaries.sort_by_key(|s| s.worker);
+        // Packets no worker ran (every thief died, or stealing was off
+        // and the owner panicked): surface them rather than silently
+        // dropping jobs.
+        for (w, inbox) in self.inboxes.iter().enumerate() {
+            let left: Vec<Packet> = lock(inbox).drain(..).collect();
+            for packet in left {
+                let report = self.fail(packet, "pool shut down before the task ran".into());
+                summaries[w].reports.push(report);
             }
         }
-        r.id = *global_id;
-    }
-    reports.extend(retired);
-    let mut spans = span_log.into_spans();
-    if config.sched.record_spans {
-        let mut whole = SpanLog::with_origin(epoch);
-        whole.record(
-            format!("worker-{worker}"),
-            "worker",
-            tid,
-            start,
-            Instant::now(),
-            vec![("jobs", shard.len().to_string())],
-        );
-        spans.extend(whole.into_spans());
-    }
-    // Tasks never leave a static worker, so its executed steps are
-    // exactly the steps its reports account for.
-    let steps_executed = reports.iter().map(|r| r.steps).sum();
-    WorkerSummary {
-        worker,
-        reports,
-        mismatches,
-        wall: start.elapsed(),
-        spans,
-        steps_executed,
-        panicked: None,
+        let wall = self.epoch.elapsed();
+        let all: Vec<TaskReport> = summaries
+            .iter()
+            .flat_map(|s| s.reports.iter().cloned())
+            .collect();
+        let metrics = SchedMetrics::from_reports(&all, wall);
+        let pool_spans =
+            pool_metrics_spans(summaries.len(), &metrics, self.config.sched.record_spans);
+        let schedule = self.recorded.map(|events| StealSchedule {
+            workers: summaries.len(),
+            events: events.into_inner().unwrap_or_else(PoisonError::into_inner),
+        });
+        PoolReport {
+            metrics,
+            workers: summaries,
+            wall,
+            schedule,
+            pool_spans,
+        }
     }
 }
 
-/// The summary for a worker whose thread panicked: every job on its
-/// shard gets a `Failed` report naming the panic, so a crashed worker
-/// never silently swallows its queue (the reports are what downstream
-/// accounting — retries, billing, `is_clean` — keys on).
+/// One pool worker: its host, its seat in the shared state, and the
+/// mismatches it found. Its [`Scheduler`] sits on it as a [`Seat`].
+pub(crate) struct Worker<'p> {
+    w: usize,
+    pool: &'p Shared<'p>,
+    host: WorkerHost,
+    mismatches: Vec<String>,
+    start: Instant,
+}
+
+impl<'p> Worker<'p> {
+    /// Builds worker `w` and its scheduler: a prelude-loaded host with the
+    /// pool's setups loaded, and verification baselines for every fresh
+    /// job in its inbox, computed before any sliced run touches the
+    /// shared globals. The flag is `false` when a setup failed; the
+    /// worker then fails what its inbox holds and can run nothing.
+    pub(crate) fn start(w: usize, pool: &'p Shared<'p>) -> (Worker<'p>, Scheduler, bool) {
+        let mut worker = Worker {
+            w,
+            pool,
+            host: WorkerHost::new(pool.config.engine.clone()),
+            mismatches: Vec::new(),
+            start: Instant::now(),
+        };
+        let mut sched = Scheduler::on_worker(pool.config.sched.clone(), lane(w), pool.epoch);
+        for (i, setup) in pool.spec.setups.iter().enumerate() {
+            if let Err(e) = worker.host.load(setup) {
+                // Thieves may already have taken part of the inbox; each
+                // packet is handled exactly once either way.
+                let drained: Vec<Packet> = lock(&pool.inboxes[w]).drain(..).collect();
+                for packet in drained {
+                    let report = pool.fail(packet, format!("worker setup #{i} failed: {e}"));
+                    sched.finish(&mut worker, report);
+                }
+                return (worker, sched, false);
+            }
+        }
+        let fresh: Vec<usize> = lock(&pool.inboxes[w]).iter().map(Packet::id).collect();
+        for id in fresh {
+            worker.expected(id);
+        }
+        (worker, sched, true)
+    }
+
+    /// The result job `id` must produce: its spec's expectation, or (with
+    /// verification on) its uninterrupted baseline.
+    fn expected(&mut self, id: usize) -> Option<&'p str> {
+        let pool = self.pool;
+        let job = &pool.spec.jobs[id];
+        if job.expected.is_some() || !pool.spec.verify {
+            return job.expected.as_deref();
+        }
+        pool.baselines[id]
+            .get_or_init(|| match self.host.eval(&job.run) {
+                Ok(v) => Some(v.write_string()),
+                Err(e) => {
+                    self.mismatches
+                        .push(format!("{}: baseline run failed: {e}", job.name));
+                    None
+                }
+            })
+            .as_deref()
+    }
+
+    /// The idle half of the steal protocol: take the *back* packet of the
+    /// first peer inbox that is not locked, or leave the hungry flag up
+    /// for a donation and nap.
+    fn steal_or_wait(&self, sched: &mut Scheduler) {
+        let (pool, w) = (self.pool, self.w);
+        let n = pool.workers();
+        pool.hungry[w].store(true, Ordering::SeqCst);
+        for d in 1..n {
+            let v = (w + d) % n;
+            let Ok(mut inbox) = pool.inboxes[v].try_lock() else {
+                continue;
+            };
+            let Some(packet) = inbox.pop_back() else {
+                continue;
+            };
+            drop(inbox);
+            pool.hungry[w].store(false, Ordering::SeqCst);
+            let args = vec![
+                ("task", packet.id().to_string()),
+                ("from", v.to_string()),
+                ("suspension", packet.ledger().slices.to_string()),
+            ];
+            sched.instant(pool.name(&packet), "steal", args);
+            pool.deliver(packet, v, w, 1);
+            return;
+        }
+        if lock(&pool.inboxes[w]).is_empty() {
+            // Nothing stealable anywhere yet (remaining tasks are live on
+            // other workers); leave the hungry flag up so a victim
+            // donates at its next suspension.
+            std::thread::yield_now();
+            std::thread::sleep(Duration::from_micros(50));
+        } else {
+            // A donation landed in our own inbox meanwhile.
+            pool.hungry[w].store(false, Ordering::SeqCst);
+        }
+    }
+
+    /// Kills this worker (virtual-tick driver): its local tasks become
+    /// packets again and, with its inbox, are handed back for survivors
+    /// to re-steal.
+    pub(crate) fn kill(&mut self, sched: &mut Scheduler) -> Vec<Packet> {
+        self.pool.kill(self.w);
+        let mut packets = sched.evict(self);
+        packets.extend(lock(&self.pool.inboxes[self.w]).drain(..));
+        lock(&self.pool.custody[self.w]).clear();
+        packets
+    }
+
+    pub(crate) fn finish(self, sched: Scheduler) -> WorkerSummary {
+        let (reports, mut spans, steps_executed) = sched.into_parts();
+        if self.pool.config.sched.record_spans {
+            let args = vec![("steps", steps_executed.to_string())];
+            let name = format!("worker-{}", self.w);
+            spans.record(
+                name,
+                "worker",
+                lane(self.w),
+                self.start,
+                Instant::now(),
+                args,
+            );
+        }
+        WorkerSummary {
+            worker: self.w,
+            reports,
+            mismatches: self.mismatches,
+            wall: self.start.elapsed(),
+            spans: spans.into_spans(),
+            steps_executed,
+            panicked: None,
+        }
+    }
+}
+
+impl Seat for Worker<'_> {
+    fn admit(&mut self) -> Option<Result<Task, TaskReport>> {
+        let pool = self.pool;
+        let packet = lock(&pool.inboxes[self.w]).pop_front()?;
+        let failed = |id, name, ledger: Ledger, msg| {
+            Some(Err(ledger.report(
+                id,
+                name,
+                Outcome::Failed(msg),
+                pool.epoch.elapsed(),
+            )))
+        };
+        let (id, name, engine, ledger, bytes) = match packet {
+            Packet::Fresh { id, ledger } => {
+                let job = &pool.spec.jobs[id];
+                self.expected(id);
+                match self.host.spawn(&job.run) {
+                    Ok(engine) => (id, job.name.clone(), engine, ledger, None),
+                    Err(e) => {
+                        return failed(id, job.name.clone(), ledger, format!("compile failed: {e}"))
+                    }
+                }
+            }
+            Packet::Parked {
+                id,
+                name,
+                ticket,
+                ledger,
+            } => match Engine::from_ticket(&ticket) {
+                // The ticket is a checkpoint of the state it restores.
+                Ok(engine) => (id, name, engine, ledger, Some(ticket.bytes)),
+                Err(e) => {
+                    return failed(id, name, ledger, format!("migration restore failed: {e}"))
+                }
+            },
+        };
+        lock(&pool.custody[self.w]).insert(id, name.clone());
+        Some(Ok(Task::new(id, name, engine, ledger, bytes)))
+    }
+
+    fn place(&mut self, task: usize, suspension: u64, local_work: bool) -> Option<(usize, u32)> {
+        let pool = self.pool;
+        if let Some(moves) = &pool.moves {
+            let chain = moves.get(&(task, suspension))?;
+            let to = chain
+                .last()
+                .and_then(|e| pool.route(e.to))
+                .unwrap_or(self.w);
+            return Some((to, u32::try_from(chain.len()).unwrap_or(u32::MAX)));
+        }
+        // Donate only when this worker keeps other work; otherwise the
+        // hop just moves the idleness.
+        let migrate = pool.config.steal.as_ref().is_some_and(|s| s.migrate);
+        if !migrate || (!local_work && lock(&pool.inboxes[self.w]).is_empty()) {
+            return None;
+        }
+        let n = pool.workers();
+        (1..n)
+            .map(|d| (self.w + d) % n)
+            .find(|&v| pool.hungry[v].swap(false, Ordering::SeqCst))
+            .map(|v| (v, 1))
+    }
+
+    fn send(&mut self, to: usize, packet: Packet, hops: u32) {
+        lock(&self.pool.custody[self.w]).remove(&packet.id());
+        self.pool.deliver(packet, self.w, to, hops);
+    }
+
+    fn retired(&mut self, report: &TaskReport) {
+        lock(&self.pool.custody[self.w]).remove(&report.id);
+        self.pool.remaining.fetch_sub(1, Ordering::SeqCst);
+        if let Outcome::Completed(got) = &report.outcome {
+            if let Some(want) = self.expected(report.id) {
+                if got != want {
+                    self.mismatches.push(format!(
+                        "{}: sliced run produced {got}, uninterrupted run produced {want}",
+                        report.name
+                    ));
+                }
+            }
+        }
+    }
+}
+
+/// One worker thread: step the scheduler while it has work; when it runs
+/// dry, a static worker is done and a stealing one steals or waits until
+/// the whole batch has retired.
+fn thread_worker(w: usize, pool: &Shared<'_>) -> WorkerSummary {
+    let (mut worker, mut sched, ready) = Worker::start(w, pool);
+    if ready {
+        loop {
+            if sched.step(&mut worker) {
+                continue;
+            }
+            if pool.config.steal.is_none() || pool.remaining() == 0 {
+                break;
+            }
+            worker.steal_or_wait(&mut sched);
+        }
+    }
+    worker.finish(sched)
+}
+
+/// The threaded driver: one OS thread per worker. A panicking worker is
+/// caught and surfaced in its summary, never propagated.
+fn run_threads(pool: &Shared<'_>) -> Vec<WorkerSummary> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..pool.workers())
+            .map(|w| {
+                scope.spawn(move || {
+                    catch_unwind(AssertUnwindSafe(|| thread_worker(w, pool))).unwrap_or_else(
+                        |payload| {
+                            let msg = payload
+                                .downcast_ref::<&str>()
+                                .map(|s| (*s).to_string())
+                                .or_else(|| payload.downcast_ref::<String>().cloned())
+                                .unwrap_or_else(|| "non-string panic payload".into());
+                            // The engines this worker held are gone; fail
+                            // them from its custody set and release their
+                            // completion slots so survivors can terminate.
+                            // Its inbox lives outside the thread: thieves
+                            // drain it, or the pool fails it at shutdown.
+                            let held: Vec<(usize, String)> =
+                                lock(&pool.custody[w]).drain().collect();
+                            pool.remaining.fetch_sub(held.len(), Ordering::SeqCst);
+                            panicked_summary(w, held, msg, pool.epoch)
+                        },
+                    )
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("panic already caught"))
+            .collect()
+    })
+}
+
+/// The summary for a worker whose thread panicked: every task it held
+/// gets a `Failed` report naming the panic, so a crashed worker never
+/// silently swallows work (the reports are what downstream accounting —
+/// retries, billing, `is_clean` — keys on).
 ///
 /// Wall time and turnarounds are measured from the pool epoch to the
 /// panic, never zero: a `Duration::ZERO` summary would drag the batch's
@@ -308,28 +638,15 @@ fn run_worker(
 /// fastest work of the run.
 fn panicked_summary(
     worker: usize,
-    manifest: Vec<(usize, String)>,
+    held: Vec<(usize, String)>,
     msg: String,
     epoch: Instant,
 ) -> WorkerSummary {
     let elapsed = epoch.elapsed();
-    let reports = manifest
+    let outcome = Outcome::Failed(format!("worker panicked: {msg}"));
+    let reports = held
         .into_iter()
-        .map(|(id, name)| TaskReport {
-            id,
-            name,
-            outcome: Outcome::Failed(format!("worker panicked: {msg}")),
-            slices: 0,
-            steps: 0,
-            allocations: 0,
-            collections: 0,
-            bytes_live_peak: 0,
-            turnaround: elapsed,
-            retries: 0,
-            checkpoints: 0,
-            migrations: 0,
-            steals: 0,
-        })
+        .map(|(id, name)| Ledger::default().report(id, name, outcome.clone(), elapsed))
         .collect();
     WorkerSummary {
         worker,
@@ -346,11 +663,7 @@ fn panicked_summary(
 /// whole batch, carrying the latency percentiles (p50/p95/p99), Jain
 /// fairness, and migration counters as args — the numbers `cm-trace`
 /// surfaces on the exported timeline.
-pub(crate) fn pool_metrics_spans(
-    workers: usize,
-    metrics: &SchedMetrics,
-    enabled: bool,
-) -> Vec<Span> {
+fn pool_metrics_spans(workers: usize, metrics: &SchedMetrics, enabled: bool) -> Vec<Span> {
     if !enabled {
         return Vec::new();
     }
@@ -359,7 +672,7 @@ pub(crate) fn pool_metrics_spans(
         cat: "pool",
         // One lane past the last worker, so the summary span doesn't
         // overlay a worker's own timeline.
-        tid: u32::try_from(workers).unwrap_or(u32::MAX),
+        tid: lane(workers),
         start_us: 0,
         dur_us: u64::try_from(metrics.wall.as_micros()).unwrap_or(u64::MAX),
         args: vec![
@@ -374,72 +687,19 @@ pub(crate) fn pool_metrics_spans(
     }]
 }
 
-/// Runs a batch of jobs over `config.workers` threads and gathers the
-/// combined report. Worker panics are caught and surfaced in the
-/// summary, never propagated.
-///
-/// With [`PoolConfig::steal`] set this dispatches to the work-stealing
-/// pool (multithreaded, or the deterministic replay simulator when
-/// [`StealConfig::replay`] is set); otherwise the static sharded pool
-/// runs below.
+/// Runs a batch of jobs over `config.workers` workers and gathers the
+/// combined report. Turnarounds count from the moment this is called.
 pub fn run_pool(config: &PoolConfig, spec: &PoolSpec) -> PoolReport {
-    if let Some(sc) = &config.steal {
-        return if sc.replay.is_some() || !sc.kill_workers.is_empty() {
-            steal::run_pool_replay(config, spec, sc)
-        } else {
-            steal::run_pool_stealing(config, spec, sc)
-        };
-    }
-    let workers = config.workers.max(1);
-    let mut shards: Vec<Vec<(usize, JobSpec)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (id, job) in spec.jobs.iter().enumerate() {
-        shards[id % workers].push((id, job.clone()));
-    }
-    let start = Instant::now();
-    let mut summaries: Vec<WorkerSummary> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(w, shard)| {
-                scope.spawn(move || {
-                    let manifest: Vec<(usize, String)> = shard
-                        .iter()
-                        .map(|(id, job)| (*id, job.name.clone()))
-                        .collect();
-                    catch_unwind(AssertUnwindSafe(|| {
-                        run_worker(w, config, spec, shard, start)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        panicked_summary(w, manifest, msg, start)
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("panic already caught"))
-            .collect()
-    });
-    summaries.sort_by_key(|s| s.worker);
-    let wall = start.elapsed();
-    let all: Vec<TaskReport> = summaries
-        .iter()
-        .flat_map(|s| s.reports.iter().cloned())
-        .collect();
-    let metrics = SchedMetrics::from_reports(&all, wall);
-    let pool_spans = pool_metrics_spans(workers, &metrics, config.sched.record_spans);
-    PoolReport {
-        metrics,
-        workers: summaries,
-        wall,
-        schedule: None,
-        pool_spans,
-    }
+    let replay = config
+        .steal
+        .as_ref()
+        .filter(|s| s.replay.is_some() || !s.kill_workers.is_empty());
+    let pool = Shared::new(config, spec, replay.map(steal::keyed_moves));
+    let summaries = match replay {
+        Some(sc) => steal::run_ticks(&pool, sc),
+        None => run_threads(&pool),
+    };
+    pool.finish(summaries)
 }
 
 #[cfg(test)]
@@ -569,6 +829,49 @@ mod tests {
         let metrics = SchedMetrics::from_reports(&summary.reports, summary.wall);
         assert!(metrics.latency_p50 >= Duration::from_millis(25));
         assert!(metrics.latency_p99 >= Duration::from_millis(25));
+    }
+
+    #[test]
+    fn static_turnaround_includes_worker_setup() {
+        // Turnaround counts from the pool's start, so a task's report
+        // includes its worker's set-up even without stealing.
+        let setup = "(define (spin n) (if (zero? n) 'done (spin (- n 1))))
+                     (define warm (spin 200000))";
+        let load = || {
+            let mut host = WorkerHost::new(EngineConfig::default());
+            let t = Instant::now();
+            host.load(setup).unwrap();
+            t.elapsed()
+        };
+        let before = load();
+        let spec = PoolSpec {
+            setups: vec![setup.into()],
+            jobs: (0..4)
+                .map(|i| JobSpec {
+                    name: format!("quick-{i}"),
+                    run: "(spin 10)".into(),
+                    expected: Some("done".into()),
+                })
+                .collect(),
+            verify: true,
+        };
+        let report = run_pool(
+            &PoolConfig {
+                workers: 2,
+                ..Default::default()
+            },
+            &spec,
+        );
+        assert!(report.is_clean(), "{:?}", report.all_mismatches());
+        let setup_time = before.min(load());
+        for r in report.all_reports() {
+            assert!(
+                r.turnaround >= setup_time,
+                "{}: {:?} < set-up {setup_time:?}",
+                r.name,
+                r.turnaround
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! A single-threaded, multi-tenant scheduler over suspendable engines.
+//! The per-worker scheduler: the one state machine that runs engine
+//! slices, whether it sits alone on a thread or on one worker of a pool.
 //!
-//! One scheduler owns one queue of [`Engine`]s (all sharing one worker's
-//! `Globals`, hence pinned to one thread) and interleaves them in fuel
-//! slices. Two policies:
+//! A scheduler holds a local set of [`Engine`]s (all sharing one
+//! worker's `Globals`, hence pinned to one thread) and interleaves them
+//! in fuel slices. Two policies:
 //!
 //! * [`Policy::RoundRobin`] — FIFO; every runnable task gets one slice per
 //!   turn of the queue.
@@ -12,8 +13,20 @@
 //!
 //! Per-task timeouts reuse [`MachineConfig::deadline`]: the engine's
 //! machine enforces the wall-clock cutoff *inside* long slices, and the
-//! scheduler enforces it *between* slices (queue wait counts), so a slice
-//! smaller than the machine's deadline-poll stride still times out.
+//! scheduler enforces it *between* slices (local queue wait counts), so
+//! a slice smaller than the machine's deadline-poll stride still times
+//! out. The clock starts when the task enters a local set and travels
+//! with it across migrations.
+//!
+//! # In a pool
+//!
+//! On a pool worker the scheduler sits on the worker's seat: it admits
+//! work from the worker's inbox of fresh jobs and parked engines while
+//! its local set holds fewer than 32 tasks, and at every suspension a
+//! placement hook asks whether the task should move, and to whom. A task
+//! that moves leaves as a [`MigrationTicket`] — the §6 one-shot move, so
+//! it can never be resumed twice — and carries its accounting (slices,
+//! work, retries, hops, deadline) to the next worker.
 //!
 //! # Supervision
 //!
@@ -26,9 +39,12 @@
 //! ([`SchedConfig::backoff_base`] scheduler ticks, doubling per retry).
 //! A restarted task resumes on a restored engine with its own globals
 //! (recovery is isolated: post-checkpoint global writes are rolled
-//! back), and its deadline clock restarts with the attempt. Tasks that
-//! fault before their first checkpoint, or exhaust the budget, retire
-//! with the original outcome.
+//! back), and its deadline clock restarts with the attempt. An injected
+//! fault models a crash, so the restarted attempt runs with the
+//! injection disarmed. Tasks that fault before their first checkpoint,
+//! or exhaust the budget, retire with the original outcome. A task that
+//! migrates ships its latest checkpoint as its ticket, so checkpointing
+//! and migration encode each suspension once.
 //!
 //! [`SchedConfig::pool_budget_bytes`] adds admission control on top:
 //! while the aggregate live heap bytes of checkpointed tasks exceeds the
@@ -42,10 +58,14 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use cm_vm::VmErrorKind;
+use cm_vm::{MachineStats, SnapshotError, VmErrorKind};
 
-use crate::engine::{Engine, RunResult};
+use crate::engine::{Engine, MigrationTicket, RunResult};
 use crate::spans::SpanLog;
+
+/// Most tasks a pool worker keeps live (materialized) at once; further
+/// work waits in its inbox, where thieves can reach it.
+pub(crate) const LOCAL_CAP: usize = 32;
 
 /// Which runnable task gets the next slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +109,7 @@ pub struct SchedConfig {
     /// Maximum automatic restarts per task (only with `checkpoint`).
     pub retry_budget: u32,
     /// Backoff before the first restart, in scheduler ticks (one tick
-    /// per [`Scheduler::step`]); doubles with each further retry of the
+    /// per scheduler step); doubles with each further retry of the
     /// same task. `0` restarts immediately.
     pub backoff_base: u64,
     /// Admission-control budget: while the aggregate
@@ -130,7 +150,8 @@ pub enum Outcome {
 /// Per-task accounting, produced when the task leaves the scheduler.
 #[derive(Debug, Clone)]
 pub struct TaskReport {
-    /// Submission-order id, unique within one scheduler.
+    /// Task id: the [`JobSpec`](crate::JobSpec) submission index in a
+    /// pool, the [`Scheduler::submit`] order on a standalone scheduler.
     pub id: usize,
     /// Caller-supplied label.
     pub name: String,
@@ -138,22 +159,24 @@ pub struct TaskReport {
     pub outcome: Outcome,
     /// Slices consumed (a completed task's final partial slice counts).
     pub slices: u64,
-    /// Instructions executed ([`MachineStats::steps_executed`]) — the
-    /// fairness measure.
+    /// Instructions executed ([`MachineStats::steps_executed`]) across
+    /// every machine the task ran on — the fairness measure.
     ///
     /// [`MachineStats::steps_executed`]: cm_vm::MachineStats
     pub steps: u64,
     /// Heap objects the tenant allocated
     /// ([`MachineStats::allocations`](cm_vm::MachineStats)).
     pub allocations: u64,
-    /// Heap collections the tenant's machine ran
+    /// Heap collections the tenant's machines ran
     /// ([`MachineStats::collections`](cm_vm::MachineStats)).
     pub collections: u64,
     /// High-water mark of the tenant's live heap bytes, as measured at
     /// its collections ([`MachineStats::bytes_live_peak`](cm_vm::MachineStats));
     /// `0` when the task never collected.
     pub bytes_live_peak: u64,
-    /// Submit-to-finish wall time (queue wait included).
+    /// Wall time from the scheduler's epoch — the pool's start, or a
+    /// standalone scheduler's creation — to retirement. Worker set-up,
+    /// verification baselines and queue wait are all included.
     pub turnaround: Duration,
     /// Supervised restarts this task consumed (`0` without
     /// [`SchedConfig::checkpoint`] or when it never faulted).
@@ -172,60 +195,238 @@ pub struct TaskReport {
     pub steals: u32,
 }
 
-struct Task {
+/// Accounting a task carries for its whole life, across restarts and
+/// migrations. A restored machine counts from zero, so the work of every
+/// earlier machine lives here; retirement folds in the last one.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Ledger {
+    pub(crate) slices: u64,
+    steps: u64,
+    allocations: u64,
+    collections: u64,
+    bytes_live_peak: u64,
+    retries: u32,
+    checkpoints: u64,
+    migrations: u32,
+    pub(crate) steals: u32,
+    /// Wall-clock deadline, set when the task first enters a local set.
+    deadline_at: Option<Instant>,
+}
+
+impl Ledger {
+    /// Folds one machine's counters in (at each hop, each restart, and
+    /// at retirement).
+    fn absorb(&mut self, stats: &MachineStats) {
+        self.steps += stats.steps_executed;
+        self.allocations += stats.allocations;
+        self.collections += stats.collections;
+        self.bytes_live_peak = self.bytes_live_peak.max(stats.bytes_live_peak);
+    }
+
+    /// The task's report: the one place a [`TaskReport`] is built.
+    pub(crate) fn report(
+        &self,
+        id: usize,
+        name: String,
+        outcome: Outcome,
+        turnaround: Duration,
+    ) -> TaskReport {
+        TaskReport {
+            id,
+            name,
+            outcome,
+            slices: self.slices,
+            steps: self.steps,
+            allocations: self.allocations,
+            collections: self.collections,
+            bytes_live_peak: self.bytes_live_peak,
+            turnaround,
+            retries: self.retries,
+            checkpoints: self.checkpoints,
+            migrations: self.migrations,
+            steals: self.steals,
+        }
+    }
+}
+
+/// A unit of work in a pool worker's inbox. Both variants are plain
+/// `Send` data — engines only exist materialized inside one worker.
+pub(crate) enum Packet {
+    /// A job that has never run; any worker can compile and start it.
+    Fresh { id: usize, ledger: Ledger },
+    /// A started engine serialized at a suspension.
+    Parked {
+        id: usize,
+        name: String,
+        // Boxed so that the many fresh packets of a large batch stay small.
+        ticket: Box<MigrationTicket>,
+        ledger: Ledger,
+    },
+}
+
+impl Packet {
+    pub(crate) fn id(&self) -> usize {
+        match self {
+            Packet::Fresh { id, .. } | Packet::Parked { id, .. } => *id,
+        }
+    }
+
+    pub(crate) fn ledger(&self) -> &Ledger {
+        match self {
+            Packet::Fresh { ledger, .. } | Packet::Parked { ledger, .. } => ledger,
+        }
+    }
+
+    pub(crate) fn ledger_mut(&mut self) -> &mut Ledger {
+        match self {
+            Packet::Fresh { ledger, .. } | Packet::Parked { ledger, .. } => ledger,
+        }
+    }
+}
+
+/// One task in a scheduler's local set.
+pub(crate) struct Task {
     id: usize,
     name: String,
     // Always `Some` while queued; taken only for the duration of a slice
     // (`Engine::run` consumes the engine and returns its successor).
     engine: Option<Engine>,
-    submitted_at: Instant,
-    deadline_at: Option<Instant>,
-    slices: u64,
-    // Last durable checkpoint (serialized engine), when supervising.
+    ledger: Ledger,
+    // Last durable checkpoint (serialized engine), when supervising. It
+    // always encodes the task's current state: it is taken at every
+    // suspension, and a restarted or migrated engine is restored from it.
     checkpoint: Option<Vec<u8>>,
-    checkpoints: u64,
-    retries: u32,
     // Live heap bytes at the last suspension — the admission-control
     // gauge. Zero until the task first checkpoints.
     bytes_live: u64,
 }
 
-/// The scheduler: a set of tasks and a runnable queue.
+impl Task {
+    pub(crate) fn new(
+        id: usize,
+        name: String,
+        engine: Engine,
+        ledger: Ledger,
+        checkpoint: Option<Vec<u8>>,
+    ) -> Task {
+        Task {
+            id,
+            name,
+            engine: Some(engine),
+            ledger,
+            checkpoint,
+            bytes_live: 0,
+        }
+    }
+
+    /// Turns a task that is not mid-slice back into a packet: a started
+    /// one through the snapshot codec (its checkpoint, when it has one,
+    /// *is* the ticket), a never-run one as a fresh job.
+    // The Err variant hands the task back by value on purpose: a refused
+    // move must leave the task runnable where it is.
+    #[allow(clippy::result_large_err)]
+    fn into_packet(mut self) -> Result<Packet, (Task, SnapshotError)> {
+        let engine = self.engine.take().expect("queued task holds its engine");
+        if self.ledger.slices == 0 {
+            return Ok(Packet::Fresh {
+                id: self.id,
+                ledger: self.ledger,
+            });
+        }
+        let ticket = match self.checkpoint.take() {
+            Some(bytes) => MigrationTicket {
+                bytes,
+                stats: engine.stats(),
+            },
+            None => match engine.into_ticket() {
+                Ok(ticket) => ticket,
+                Err((engine, e)) => {
+                    self.engine = Some(engine);
+                    return Err((self, e));
+                }
+            },
+        };
+        self.ledger.absorb(&ticket.stats);
+        self.ledger.migrations += 1;
+        Ok(Packet::Parked {
+            id: self.id,
+            name: self.name,
+            ticket: Box::new(ticket),
+            ledger: self.ledger,
+        })
+    }
+}
+
+/// A scheduler's seat in a pool: where admitted work comes from, where a
+/// suspended task may move, and who hears about retirements. A
+/// standalone scheduler sits on `()`: nothing arrives and nothing moves.
+pub(crate) trait Seat {
+    /// Materializes the next packet of this worker's inbox, or the
+    /// report of one that could not be (compile or restore failure).
+    fn admit(&mut self) -> Option<Result<Task, TaskReport>>;
+    /// The placement hook, asked at `task`'s `suspension`-th suspension:
+    /// the worker to move it to, and how many queue hops that move
+    /// stands for. `local_work` says whether this worker keeps other
+    /// local tasks.
+    fn place(&mut self, task: usize, suspension: u64, local_work: bool) -> Option<(usize, u32)>;
+    /// Hands a packet that left this worker's local set to worker `to`.
+    fn send(&mut self, to: usize, packet: Packet, hops: u32);
+    /// A task retired on this worker.
+    fn retired(&mut self, report: &TaskReport);
+}
+
+impl Seat for () {
+    fn admit(&mut self) -> Option<Result<Task, TaskReport>> {
+        None
+    }
+    fn place(&mut self, _: usize, _: u64, _: bool) -> Option<(usize, u32)> {
+        None
+    }
+    fn send(&mut self, _: usize, _: Packet, _: u32) {}
+    fn retired(&mut self, _: &TaskReport) {}
+}
+
+/// The scheduler: a local set of tasks and a runnable queue.
 pub struct Scheduler {
     config: SchedConfig,
-    tasks: Vec<Option<Task>>,
-    runnable: VecDeque<usize>,
-    // Faulted tasks waiting out their backoff: `(task id, tick at which
-    // it becomes runnable again)`.
-    parked: Vec<(usize, u64)>,
+    runnable: VecDeque<Task>,
+    // Faulted tasks waiting out their backoff, with the tick at which
+    // each becomes runnable again.
+    parked: Vec<(Task, u64)>,
     tick: u64,
+    submitted: usize,
     reports: Vec<TaskReport>,
     spans: SpanLog,
     /// Timeline lane for recorded spans (the pool sets this to the
     /// worker index).
     tid: u32,
+    /// Turnaround origin.
+    epoch: Instant,
+    /// Instructions this scheduler's slices executed.
+    steps_executed: u64,
 }
 
 impl Scheduler {
-    /// Creates an empty scheduler.
+    /// Creates an empty standalone scheduler; turnarounds count from now.
     pub fn new(config: SchedConfig) -> Scheduler {
+        Scheduler::on_worker(config, 0, Instant::now())
+    }
+
+    /// A scheduler for pool worker `tid`, timing turnaround and spans
+    /// from the pool's `epoch`.
+    pub(crate) fn on_worker(config: SchedConfig, tid: u32, epoch: Instant) -> Scheduler {
         Scheduler {
             config,
-            tasks: Vec::new(),
             runnable: VecDeque::new(),
             parked: Vec::new(),
             tick: 0,
+            submitted: 0,
             reports: Vec::new(),
-            spans: SpanLog::new(),
-            tid: 0,
+            spans: SpanLog::with_origin(epoch),
+            tid,
+            epoch,
+            steps_executed: 0,
         }
-    }
-
-    /// Replaces the span log (pool workers install one sharing the
-    /// pool's origin) and sets the timeline lane for recorded spans.
-    pub fn set_span_log(&mut self, log: SpanLog, tid: u32) {
-        self.spans = log;
-        self.tid = tid;
     }
 
     /// The per-slice spans recorded so far (empty unless
@@ -242,23 +443,25 @@ impl Scheduler {
     /// Submits an engine under a display name; returns its task id. The
     /// deadline clock (if the engine has one) starts now.
     pub fn submit(&mut self, name: impl Into<String>, engine: Engine) -> usize {
-        let id = self.tasks.len();
-        let now = Instant::now();
-        let deadline_at = engine.deadline().and_then(|d| now.checked_add(d));
-        self.tasks.push(Some(Task {
-            id,
-            name: name.into(),
-            engine: Some(engine),
-            submitted_at: now,
-            deadline_at,
-            slices: 0,
-            checkpoint: None,
-            checkpoints: 0,
-            retries: 0,
-            bytes_live: 0,
-        }));
-        self.runnable.push_back(id);
+        let id = self.submitted;
+        self.submitted += 1;
+        self.enqueue(Task::new(id, name.into(), engine, Ledger::default(), None));
         id
+    }
+
+    fn enqueue(&mut self, mut task: Task) {
+        // A parked task's ticket is a checkpoint of its state; it is kept
+        // only when supervising.
+        if !self.config.checkpoint {
+            task.checkpoint = None;
+        }
+        if task.ledger.deadline_at.is_none() {
+            let engine = task.engine.as_ref().expect("queued task holds its engine");
+            task.ledger.deadline_at = engine
+                .deadline()
+                .and_then(|d| Instant::now().checked_add(d));
+        }
+        self.runnable.push_back(task);
     }
 
     /// Tasks still queued, suspended, or parked in backoff.
@@ -269,7 +472,12 @@ impl Scheduler {
     /// Aggregate live heap bytes across every task still in the
     /// scheduler, as measured at each task's last checkpoint.
     pub fn bytes_live(&self) -> u64 {
-        self.tasks.iter().flatten().map(|t| t.bytes_live).sum()
+        let parked = self.parked.iter().map(|(t, _)| t);
+        self.runnable
+            .iter()
+            .chain(parked)
+            .map(|t| t.bytes_live)
+            .sum()
     }
 
     /// Moves parked tasks whose backoff has elapsed back to the runnable
@@ -277,113 +485,107 @@ impl Scheduler {
     /// fast-forwards the tick to the earliest release.
     fn unpark_due(&mut self) {
         if self.runnable.is_empty() {
-            if let Some(&(_, next)) = self.parked.iter().min_by_key(|&&(_, at)| at) {
+            if let Some(next) = self.parked.iter().map(|&(_, at)| at).min() {
                 self.tick = self.tick.max(next);
             }
         }
-        let tick = self.tick;
         let mut i = 0;
         while i < self.parked.len() {
-            if self.parked[i].1 <= tick {
-                let (id, _) = self.parked.swap_remove(i);
-                self.runnable.push_back(id);
+            if self.parked[i].1 <= self.tick {
+                let (task, _) = self.parked.swap_remove(i);
+                self.runnable.push_back(task);
             } else {
                 i += 1;
             }
         }
     }
 
-    fn pick(&mut self) -> Option<usize> {
+    fn pick(&mut self) -> Option<Task> {
         // Backpressure: over budget, started tasks (which can shrink the
         // pool by finishing) outrank fresh admissions — unless only
-        // fresh tasks are runnable, to avoid stalling the queue.
+        // fresh tasks are runnable, to avoid stalling the queue. The
+        // queue is scanned only when over budget.
         let over_budget = self
             .config
             .pool_budget_bytes
             .is_some_and(|budget| self.bytes_live() > budget);
-        let admissible = |t: &Task| !over_budget || t.slices > 0;
-        let any_started = self
-            .runnable
-            .iter()
-            .any(|&id| self.tasks[id].as_ref().is_some_and(|t| t.slices > 0));
-        match self.config.policy {
-            Policy::RoundRobin => {
-                if over_budget && any_started {
-                    let pos = self
-                        .runnable
-                        .iter()
-                        .position(|&id| self.tasks[id].as_ref().is_some_and(admissible))?;
-                    self.runnable.remove(pos)
-                } else {
-                    self.runnable.pop_front()
-                }
-            }
+        let started_only = over_budget && self.runnable.iter().any(|t| t.ledger.slices > 0);
+        let eligible = |t: &Task| !started_only || t.ledger.slices > 0;
+        let pos = match self.config.policy {
+            Policy::RoundRobin => self.runnable.iter().position(eligible)?,
             Policy::EarliestDeadlineFirst => {
-                let best = self
-                    .runnable
+                self.runnable
                     .iter()
                     .enumerate()
-                    .filter(|(_, &id)| {
-                        !(over_budget && any_started)
-                            || self.tasks[id].as_ref().is_some_and(admissible)
-                    })
-                    .min_by_key(|(_, &id)| {
-                        let t = self.tasks[id].as_ref().expect("runnable task exists");
-                        // None sorts after every Some; FIFO among ties.
-                        (t.deadline_at.is_none(), t.deadline_at, t.id)
-                    })
-                    .map(|(pos, _)| pos)?;
-                self.runnable.remove(best)
+                    .filter(|(_, t)| eligible(t))
+                    // None sorts after every Some; FIFO among ties.
+                    .min_by_key(|(_, t)| {
+                        (t.ledger.deadline_at.is_none(), t.ledger.deadline_at, t.id)
+                    })?
+                    .0
             }
-        }
+        };
+        self.runnable.remove(pos)
     }
 
-    fn retire(&mut self, task: Task, outcome: Outcome, stats: &cm_vm::MachineStats) {
-        self.reports.push(TaskReport {
-            id: task.id,
-            name: task.name,
-            outcome,
-            slices: task.slices,
-            steps: stats.steps_executed,
-            allocations: stats.allocations,
-            collections: stats.collections,
-            bytes_live_peak: stats.bytes_live_peak,
-            turnaround: task.submitted_at.elapsed(),
-            retries: task.retries,
-            checkpoints: task.checkpoints,
-            migrations: 0,
-            steals: 0,
-        });
+    /// Records a retired task's report (also for packets that failed
+    /// before reaching a local set).
+    pub(crate) fn finish(&mut self, seat: &mut dyn Seat, report: TaskReport) {
+        seat.retired(&report);
+        self.reports.push(report);
+    }
+
+    fn retire(
+        &mut self,
+        seat: &mut dyn Seat,
+        mut task: Task,
+        outcome: Outcome,
+        stats: &MachineStats,
+    ) {
+        task.ledger.absorb(stats);
+        let report = task
+            .ledger
+            .report(task.id, task.name, outcome, self.epoch.elapsed());
+        self.finish(seat, report);
     }
 
     /// Handles a faulted task: restart from its last checkpoint with
     /// exponential backoff while budget remains, else retire it with the
-    /// faulting outcome.
-    fn fault(&mut self, mut task: Task, outcome: Outcome, stats: &cm_vm::MachineStats) {
+    /// faulting outcome. `injected` marks a fault-plan crash, which the
+    /// restarted attempt runs without.
+    fn fault(
+        &mut self,
+        seat: &mut dyn Seat,
+        mut task: Task,
+        outcome: Outcome,
+        stats: &MachineStats,
+        injected: bool,
+    ) {
         let can_restart = self.config.checkpoint
-            && task.retries < self.config.retry_budget
+            && task.ledger.retries < self.config.retry_budget
             && task.checkpoint.is_some();
         if !can_restart {
-            self.retire(task, outcome, stats);
+            self.retire(seat, task, outcome, stats);
             return;
         }
         let bytes = task.checkpoint.as_deref().expect("checked above");
         match Engine::restore(bytes) {
-            Ok(engine) => {
-                task.retries += 1;
+            Ok(mut engine) => {
+                if injected {
+                    engine.disarm_injected_fault();
+                }
+                task.ledger.absorb(stats);
+                task.ledger.retries += 1;
                 // The attempt's deadline clock restarts with the attempt.
-                task.deadline_at = engine
+                task.ledger.deadline_at = engine
                     .deadline()
                     .and_then(|d| Instant::now().checked_add(d));
                 let backoff = self
                     .config
                     .backoff_base
-                    .saturating_mul(1u64 << (task.retries - 1).min(62));
-                let release = self.tick.saturating_add(backoff);
+                    .saturating_mul(1u64 << (task.ledger.retries - 1).min(62));
                 task.engine = Some(engine);
-                let id = task.id;
-                self.tasks[id] = Some(task);
-                self.parked.push((id, release));
+                self.parked.push((task, self.tick.saturating_add(backoff)));
             }
             Err(e) => {
                 // A checkpoint that no longer restores is itself a fault;
@@ -392,44 +594,67 @@ impl Scheduler {
                     Outcome::Failed(msg) | Outcome::Completed(msg) => msg,
                     Outcome::TimedOut => "deadline exceeded".into(),
                 };
-                self.retire(
-                    task,
-                    Outcome::Failed(format!("{orig}; checkpoint restore failed: {e}")),
-                    stats,
-                );
+                let outcome = Outcome::Failed(format!("{orig}; checkpoint restore failed: {e}"));
+                self.retire(seat, task, outcome, stats);
             }
         }
     }
 
-    /// Runs one slice of one task. Returns `false` when no task is
+    /// Records a zero-length span (a steal or a migration) when span
+    /// recording is on.
+    pub(crate) fn instant(
+        &mut self,
+        name: &str,
+        cat: &'static str,
+        args: Vec<(&'static str, String)>,
+    ) {
+        if self.config.record_spans {
+            let now = Instant::now();
+            self.spans
+                .record(name.to_string(), cat, self.tid, now, now, args);
+        }
+    }
+
+    /// Runs one slice of one task: admits from the seat's inbox up to
+    /// [`LOCAL_CAP`], picks by policy, runs, and then retires, restarts,
+    /// checkpoints or moves the task. Returns `false` when no task is
     /// runnable (parked tasks count as runnable: their backoff is
     /// fast-forwarded rather than busy-waited).
-    pub fn step(&mut self) -> bool {
-        self.tick = self.tick.saturating_add(1);
-        self.unpark_due();
-        let Some(id) = self.pick() else { return false };
-        let mut task = self.tasks[id].take().expect("picked task exists");
-        let engine = task.engine.take().expect("queued task holds its engine");
-        if let Some(at) = task.deadline_at {
-            if Instant::now() >= at {
-                let stats = engine.stats();
-                self.fault(task, Outcome::TimedOut, &stats);
-                return true;
+    pub(crate) fn step(&mut self, seat: &mut dyn Seat) -> bool {
+        while self.pending() < LOCAL_CAP {
+            match seat.admit() {
+                Some(Ok(task)) => self.enqueue(task),
+                Some(Err(report)) => self.finish(seat, report),
+                None => break,
             }
         }
-        task.slices += 1;
-        let span_start = if self.config.record_spans {
-            Some((Instant::now(), engine.stats().steps_executed))
-        } else {
-            None
+        self.tick = self.tick.saturating_add(1);
+        self.unpark_due();
+        let Some(mut task) = self.pick() else {
+            return false;
         };
+        let engine = task.engine.take().expect("queued task holds its engine");
+        if task
+            .ledger
+            .deadline_at
+            .is_some_and(|at| Instant::now() >= at)
+        {
+            let stats = engine.stats();
+            self.fault(seat, task, Outcome::TimedOut, &stats, false);
+            return true;
+        }
+        task.ledger.slices += 1;
+        let steps_before = engine.stats().steps_executed;
+        let started = self.config.record_spans.then(Instant::now);
         let result = engine.run(self.config.slice);
-        if let Some((start, steps_before)) = span_start {
-            let (outcome, stats) = match &result {
-                RunResult::Done(_, s) => ("done", s),
-                RunResult::Suspended(_, s) => ("suspended", s),
-                RunResult::Failed(_, s) => ("failed", s),
-            };
+        let (outcome, stats) = match &result {
+            RunResult::Done(_, s) => ("done", s),
+            RunResult::Suspended(_, s) => ("suspended", s),
+            RunResult::Failed(_, s) => ("failed", s),
+        };
+        let steps = stats.steps_executed - steps_before;
+        self.steps_executed += steps;
+        if let Some(start) = started {
             self.spans.record(
                 task.name.clone(),
                 "slice",
@@ -438,75 +663,128 @@ impl Scheduler {
                 Instant::now(),
                 vec![
                     ("task", task.id.to_string()),
-                    ("slice", task.slices.to_string()),
-                    ("steps", (stats.steps_executed - steps_before).to_string()),
+                    ("slice", task.ledger.slices.to_string()),
+                    ("steps", steps.to_string()),
                     ("outcome", outcome.to_string()),
                 ],
             );
         }
         match result {
             RunResult::Done(v, stats) => {
-                self.retire(task, Outcome::Completed(v.write_string()), &stats);
-            }
-            RunResult::Suspended(mut engine, stats) => {
-                if self.config.check_invariants {
-                    if let Err(msg) = engine.check_invariants() {
-                        self.retire(
-                            task,
-                            Outcome::Failed(format!("invariant violated: {msg}")),
-                            &stats,
-                        );
-                        return true;
-                    }
-                }
-                if self.config.checkpoint {
-                    match engine.snapshot() {
-                        Ok(bytes) => {
-                            task.checkpoint = Some(bytes);
-                            task.checkpoints += 1;
-                            task.bytes_live = stats.bytes_live;
-                        }
-                        Err(e) => {
-                            // A task whose state cannot checkpoint is not
-                            // supervisable; fail it rather than silently
-                            // running without crash coverage.
-                            self.retire(
-                                task,
-                                Outcome::Failed(format!("checkpoint failed: {e}")),
-                                &stats,
-                            );
-                            return true;
-                        }
-                    }
-                }
-                task.engine = Some(engine);
-                self.tasks[id] = Some(task);
-                self.runnable.push_back(id);
+                self.retire(seat, task, Outcome::Completed(v.write_string()), &stats);
             }
             RunResult::Failed(e, stats) => {
+                let injected = matches!(e.kind, VmErrorKind::InjectedFault { .. });
                 let outcome = if e.kind == VmErrorKind::DeadlineExceeded {
                     Outcome::TimedOut
                 } else {
                     Outcome::Failed(e.to_string())
                 };
-                self.fault(task, outcome, &stats);
+                self.fault(seat, task, outcome, &stats, injected);
             }
+            RunResult::Suspended(engine, stats) => self.suspended(seat, task, engine, &stats),
         }
         true
     }
 
+    /// A task's slice ended in a suspension: check invariants,
+    /// checkpoint, then ask the seat whether the task moves.
+    fn suspended(
+        &mut self,
+        seat: &mut dyn Seat,
+        mut task: Task,
+        mut engine: Engine,
+        stats: &MachineStats,
+    ) {
+        if self.config.check_invariants {
+            if let Err(msg) = engine.check_invariants() {
+                let outcome = Outcome::Failed(format!("invariant violated: {msg}"));
+                self.retire(seat, task, outcome, stats);
+                return;
+            }
+        }
+        if self.config.checkpoint {
+            match engine.snapshot() {
+                Ok(bytes) => {
+                    task.checkpoint = Some(bytes);
+                    task.ledger.checkpoints += 1;
+                    task.bytes_live = stats.bytes_live;
+                }
+                Err(e) => {
+                    // A task whose state cannot checkpoint is not
+                    // supervisable; fail it rather than silently running
+                    // without crash coverage.
+                    let outcome = Outcome::Failed(format!("checkpoint failed: {e}"));
+                    self.retire(seat, task, outcome, stats);
+                    return;
+                }
+            }
+        }
+        task.engine = Some(engine);
+        // This suspension is the migration safe point.
+        if let Some((to, hops)) = seat.place(task.id, task.ledger.slices, self.pending() > 0) {
+            let suspension = task.ledger.slices;
+            match task.into_packet() {
+                Ok(packet) => {
+                    if let Packet::Parked { name, ticket, .. } = &packet {
+                        self.instant(
+                            name,
+                            "migrate",
+                            vec![
+                                ("task", packet.id().to_string()),
+                                ("to", to.to_string()),
+                                ("suspension", suspension.to_string()),
+                                ("bytes", ticket.bytes.len().to_string()),
+                            ],
+                        );
+                    }
+                    seat.send(to, packet, hops);
+                    return;
+                }
+                // Serialization refused: the move is skipped and the
+                // task keeps running here.
+                Err((kept, _)) => task = kept,
+            }
+        }
+        self.runnable.push_back(task);
+    }
+
+    /// Empties the local set into packets (a killed worker's tasks,
+    /// about to be re-stolen). A task whose state cannot be serialized
+    /// retires failed.
+    pub(crate) fn evict(&mut self, seat: &mut dyn Seat) -> Vec<Packet> {
+        let mut out = Vec::new();
+        let parked = std::mem::take(&mut self.parked).into_iter().map(|(t, _)| t);
+        let tasks: Vec<Task> = self.runnable.drain(..).chain(parked).collect();
+        for task in tasks {
+            match task.into_packet() {
+                Ok(packet) => out.push(packet),
+                Err((mut task, e)) => {
+                    let stats = task.engine.take().expect("kept engine").stats();
+                    let outcome = Outcome::Failed(format!("re-steal snapshot failed: {e}"));
+                    self.retire(seat, task, outcome, &stats);
+                }
+            }
+        }
+        out
+    }
+
     /// Runs until every task has retired; returns the per-task reports in
     /// retirement order.
-    pub fn run_all(mut self) -> Vec<TaskReport> {
-        while self.step() {}
-        self.reports
+    pub fn run_all(self) -> Vec<TaskReport> {
+        self.run_all_traced().0
     }
 
     /// Like [`Scheduler::run_all`], but also returns the recorded
     /// per-slice spans (empty unless [`SchedConfig::record_spans`]).
     pub fn run_all_traced(mut self) -> (Vec<TaskReport>, SpanLog) {
-        while self.step() {}
+        while self.step(&mut ()) {}
         (self.reports, self.spans)
+    }
+
+    /// Retired reports, recorded spans, and executed instructions.
+    pub(crate) fn into_parts(self) -> (Vec<TaskReport>, SpanLog, u64) {
+        (self.reports, self.spans, self.steps_executed)
     }
 }
 
@@ -514,7 +792,7 @@ impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
             .field("policy", &self.config.policy)
-            .field("pending", &self.runnable.len())
+            .field("pending", &self.pending())
             .field("retired", &self.reports.len())
             .finish()
     }
@@ -614,13 +892,6 @@ impl SchedMetrics {
         } else {
             lat.iter().sum::<Duration>() / lat.len() as u32
         };
-        let sum: f64 = reports.iter().map(|r| r.steps as f64).sum();
-        let sum_sq: f64 = reports.iter().map(|r| (r.steps as f64).powi(2)).sum();
-        let fairness_jain = if tasks == 0 || sum_sq == 0.0 {
-            1.0
-        } else {
-            sum * sum / (tasks as f64 * sum_sq)
-        };
         SchedMetrics {
             tasks,
             completed,
@@ -636,7 +907,7 @@ impl SchedMetrics {
             latency_p95: pick(0.95),
             latency_p99: pick(0.99),
             latency_max: lat.last().copied().unwrap_or(Duration::ZERO),
-            fairness_jain,
+            fairness_jain: jain_index(reports.iter().map(|r| r.steps as f64)),
             total_migrations: reports.iter().map(|r| u64::from(r.migrations)).sum(),
             total_steals: reports.iter().map(|r| u64::from(r.steals)).sum(),
         }

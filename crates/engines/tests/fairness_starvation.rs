@@ -3,7 +3,7 @@
 //! The adversarial load is skewed fuel: every heavy task lands on
 //! worker 0 (ids ≡ 0 mod workers), so the static `id % workers`
 //! sharding leaves one worker grinding while the rest idle. The
-//! deterministic replay simulator quantifies the imbalance — the Jain
+//! deterministic virtual-tick driver quantifies the imbalance — the Jain
 //! index over per-worker executed steps — and shows a redistribution
 //! schedule repairs it. The multithreaded stealing pool then proves no
 //! task starves under the same skew: a per-task completion manifest

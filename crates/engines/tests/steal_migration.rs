@@ -13,9 +13,9 @@
 //!   machine states — mid-`dynamic-wind`, mid-effect-handler, and
 //!   mid-`await` on the async runtime,
 //! * a record/replay equivalence test: a real multithreaded stealing
-//!   run records its schedule, and the single-threaded simulator
-//!   replaying that schedule produces the same per-task step counts and
-//!   outcomes.
+//!   run records its schedule, and the virtual-tick driver replaying
+//!   that schedule through the same per-worker schedulers produces the
+//!   same per-task step counts and outcomes.
 
 use cm_engines::{
     run_pool, JobSpec, Outcome, PoolConfig, PoolSpec, SchedConfig, StealConfig, StealEvent,
@@ -221,9 +221,10 @@ fn migrates_mid_await_on_all_configs() {
 }
 
 /// The multithreaded stealing pool records its schedule; the
-/// single-threaded simulator replaying that schedule retires every task
-/// with the same step count and outcome — the recorded schedule really
-/// is a complete account of every placement decision.
+/// virtual-tick driver replaying that schedule — stepping the same
+/// `Scheduler` on one thread — retires every task with the same step
+/// count and outcome: the recorded schedule really is a complete account
+/// of every placement decision.
 #[test]
 fn recorded_schedule_replays_with_identical_per_task_work() {
     let spec = spec_of(
