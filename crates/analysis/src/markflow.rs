@@ -990,7 +990,7 @@ fn rebuild(
                 instrs.push(Instr::Call(*n));
                 instrs.push(Instr::PopAttach);
             }
-            other => instrs.push(other.clone()),
+            other => instrs.push(*other),
         }
     }
     Rc::new(Code::build(

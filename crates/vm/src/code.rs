@@ -223,7 +223,7 @@ impl PrimOp {
 ///
 /// Jump targets are absolute instruction indices within the enclosing
 /// [`Code`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Instr {
     /// Push `consts[i]`.
     Const(u16),
