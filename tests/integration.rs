@@ -168,3 +168,32 @@ fn prompt_based_generator_composes_with_marks() {
         .unwrap();
     assert_eq!(v.write_string(), "yes");
 }
+
+#[test]
+fn deep_non_tail_recursion_past_the_segment_limit_matches_refmodel() {
+    // Deeper than `segment_frame_limit` (2048): non-tail calls run on the
+    // in-place frame path until the limit, then split the segment; marks
+    // and a mark-observing value expression ride along every frame.
+    let src = r#"
+        (define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))
+        (define (count n)
+          (if (zero? n) 0 (+ 1 (count (- n 1)))))
+        (define (grow n)
+          (with-continuation-mark 'depth (+ 1 (mark-first 'depth 0))
+            (if (zero? n)
+                (cons (len (mark-list 'depth)) (mark-first 'depth 0))
+                (car (cons (grow (- n 1)) '())))))
+        (define (sum-args a b c n)
+          (if (zero? n) (+ a b c) (+ 1 (sum-args c a b (- n 1)))))
+        (list (count 5000) (grow 3000) (sum-args 1 2 3 4100))
+    "#;
+    // The model has `mark-list`/`mark-first` built in; engines get shims.
+    let oracle = RefInterp::new().eval(src).unwrap();
+    let helpers = "(define (mark-list k) (continuation-mark-set->list #f k))
+                   (define (mark-first k d) (continuation-mark-set-first #f k d))";
+    for (name, config) in continuation_marks::all_configs() {
+        let mut engine = Engine::new(config);
+        engine.eval(helpers).unwrap();
+        assert_eq!(engine.eval_to_string(src).unwrap(), oracle, "[{name}]");
+    }
+}
