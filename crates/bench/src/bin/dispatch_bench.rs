@@ -3,26 +3,28 @@
 //! a tail `with-continuation-mark` loop and an allocating loop), on the
 //! `full` configuration.
 //!
-//! Each row carries the exact step count of one call (deterministic, so
-//! CI compares it exactly), the instructions per iteration, and the wall
-//! time per instruction as a median with its quartiles over several
-//! rounds. A geomean of the medians closes the file. Wall time is
-//! reported, never gated.
+//! Each row carries the exact step count of one call under `"counters"`
+//! (deterministic, so `bench_check` compares it exactly), the
+//! instructions per iteration, and the wall time per instruction as a
+//! median with its quartiles over several rounds. A geomean of the
+//! medians closes the file. Wall time is reported, never gated.
 //!
 //! ```text
 //! dispatch_bench [OUT.json]                      # default: BENCH_dispatch.json
 //! dispatch_bench --parent-bin BIN [OUT.json]     # add a parent column measured by BIN
-//! dispatch_bench --check FILE.json               # steps only; exit 1 if any differs
 //! dispatch_bench --round                         # one round, as one JSON line
 //! ```
 //!
 //! `--parent-bin` names this binary built from another commit. Its rounds
 //! alternate with this binary's own, each side going first every other
-//! round, so a drift in the machine's speed lands on both columns.
+//! round, so a drift in the machine's speed lands on both columns. The
+//! parent's step count is a plain field, not a `"counters"` object: the
+//! gate checks this build's work only.
 
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
+use cm_bench::{counters, geomean, num, write_json, Timing};
 use cm_core::{Engine, EngineConfig};
 use cm_trace::json::{self, Json};
 use cm_vm::Value;
@@ -169,70 +171,17 @@ fn foreign_round(bin: &str) -> Vec<(u64, f64)> {
         .collect()
 }
 
-/// The value at fraction `q` of sorted `xs` (nearest rank).
-fn quantile(xs: &[f64], q: f64) -> f64 {
-    xs[((xs.len() - 1) as f64 * q).round() as usize]
-}
-
-fn num(x: f64) -> Json {
-    // Three decimals keep the file readable and diffs small.
-    Json::Num((x * 1000.0).round() / 1000.0)
-}
-
 /// Shape `k`'s column over `rounds`: its steps (the same in every round)
-/// and the median and quartiles of its ns per instruction.
-fn column(rounds: &[Vec<(u64, f64)>], k: usize) -> (u64, f64, Json) {
+/// and its ns per instruction.
+fn column(rounds: &[Vec<(u64, f64)>], k: usize) -> (u64, Timing) {
     let steps = rounds[0][k].0;
     assert!(
         rounds.iter().all(|r| r[k].0 == steps),
         "{}: step count differs between rounds",
         SHAPES[k].name
     );
-    let mut ns: Vec<f64> = rounds.iter().map(|r| r[k].1).collect();
-    ns.sort_by(f64::total_cmp);
-    let median = quantile(&ns, 0.5);
-    let summary = Json::Obj(vec![
-        ("median".into(), num(median)),
-        ("p25".into(), num(quantile(&ns, 0.25))),
-        ("p75".into(), num(quantile(&ns, 0.75))),
-    ]);
-    (steps, median, summary)
-}
-
-fn geomean(xs: &[f64]) -> f64 {
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Re-runs each shape once and compares its step count with `path`'s.
-fn check(path: &str) -> ExitCode {
-    let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let doc = json::parse(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let rows = doc
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .unwrap_or_default();
-    let mut ok = true;
-    for shape in &SHAPES {
-        let (steps, _) = call(&mut engine_for(shape), shape);
-        let want = rows
-            .iter()
-            .find(|r| r.get("name").and_then(Json::as_str) == Some(shape.name))
-            .and_then(|r| r.get("steps")?.as_u64());
-        if want == Some(steps) {
-            println!("ok: {} steps {steps}", shape.name);
-        } else {
-            ok = false;
-            println!(
-                "MISMATCH: {} steps {steps}, {path} has {want:?}",
-                shape.name
-            );
-        }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let ns: Vec<f64> = rounds.iter().map(|r| r[k].1).collect();
+    (steps, Timing::of(&ns))
 }
 
 fn main() -> ExitCode {
@@ -242,16 +191,13 @@ fn main() -> ExitCode {
             println!("{}", round_json(&round()).to_string_compact());
             return ExitCode::SUCCESS;
         }
-        [flag, path] if flag == "--check" => return check(path),
         [flag, bin, rest @ ..] if flag == "--parent-bin" && rest.len() <= 1 => {
             (Some(bin.as_str()), rest.first())
         }
         [] => (None, None),
         [out] if !out.starts_with("--") => (None, Some(out)),
         _ => {
-            eprintln!(
-                "usage: dispatch_bench [--parent-bin BIN] [OUT.json] | --check FILE.json | --round"
-            );
+            eprintln!("usage: dispatch_bench [--parent-bin BIN] [OUT.json] | --round");
             return ExitCode::from(2);
         }
     };
@@ -274,28 +220,30 @@ fn main() -> ExitCode {
 
     let (mut rows, mut medians, mut parent_medians) = (Vec::new(), Vec::new(), Vec::new());
     for (k, shape) in SHAPES.iter().enumerate() {
-        let (steps, median, summary) = column(&own, k);
+        let (steps, ns) = column(&own, k);
+        let median = ns.median;
         let iterations = (shape.iterations)(shape.n);
         let per_iter = steps as f64 / iterations as f64;
         let mut row = vec![
             ("name".into(), Json::str(shape.name)),
             ("n".into(), Json::num(shape.n as u64)),
             ("iterations".into(), Json::num(iterations)),
-            ("steps".into(), Json::num(steps)),
             ("instrs_per_iter".into(), num(per_iter)),
-            ("ns_per_instr".into(), summary),
+            ("ns_per_instr".into(), ns.json()),
+            ("counters".into(), counters(&[("steps", steps)])),
         ];
         print!(
             "{:10} {steps:>9} steps {per_iter:6.2} instr/iter {median:6.2} ns/instr",
             shape.name
         );
         if !parent.is_empty() {
-            let (psteps, pmedian, psummary) = column(&parent, k);
+            let (psteps, pns) = column(&parent, k);
+            let pmedian = pns.median;
             row.push((
                 "parent".into(),
                 Json::Obj(vec![
                     ("steps".into(), Json::num(psteps)),
-                    ("ns_per_instr".into(), psummary),
+                    ("ns_per_instr".into(), pns.json()),
                 ]),
             ));
             row.push(("speedup".into(), num(pmedian / median)));
@@ -317,14 +265,13 @@ fn main() -> ExitCode {
     }
     println!();
     let doc = Json::Obj(vec![
-        ("schema".into(), Json::str("cm-bench-dispatch-v1")),
+        ("schema".into(), Json::str("cm-bench-dispatch-v2")),
         ("config".into(), Json::str("full")),
         ("rounds".into(), Json::num(ROUNDS as u64)),
         ("workloads".into(), Json::Arr(rows)),
         ("geomean_ns_per_instr".into(), Json::Obj(geo)),
     ]);
-    std::fs::write(out_path, doc.to_string_pretty())
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    write_json(out_path, &doc);
     println!("wrote {out_path}");
     ExitCode::SUCCESS
 }

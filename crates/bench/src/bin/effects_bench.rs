@@ -4,12 +4,11 @@
 //! timed under the two continuation-capture strategies the paper's §6
 //! compares:
 //!
-//! * **one-shot-fused** (`full` config): capture freezes the live
+//! * **shared-segments** (`full` config): capture freezes the live
 //!   segment with an O(1) move and *shares* the frozen segments with
-//!   the machine's own chain; copies happen lazily, only when an
-//!   application actually resumes into a shared segment (one top-seg
-//!   copy per resume, for multi-shot safety), and a chain record whose
-//!   other reference is gone by resume time fuses back copy-free.
+//!   the machine's own chain. Each resume then copies the top segment
+//!   (multi-shot safety), so `copies ≈ captures` and `fusions` stays 0
+//!   on this group: no resume is copy-free yet.
 //! * **reify-and-copy** (`no-1cc` config, one-shot fusion disabled):
 //!   capture takes a private copy of every segment up to the prompt,
 //!   and each application copies again — the eager cost model a
@@ -18,52 +17,21 @@
 //! Both sides run the same compiled programs against the pinned
 //! workload checksums first, so a timing row is only published for runs
 //! that computed the right answer. Capture-path machine counters
-//! (captures, fusions, copies) ride along per side, making the *why* of
-//! each ratio auditable: fused handler round-trips show
-//! `copies ≈ captures` (only the application's top-segment copy), the
-//! eager side shows `copies ≈ 3 × captures`, and the gap widens with
-//! capture depth — the `deep` workload performs from under a
-//! 1800-frame tower to make per-capture segment volume dominate the
-//! interpreter's dispatch overhead.
+//! (captures, fusions, copies over the warm-up and timed runs) ride
+//! along per side under `"counters"`, making the *why* of each ratio
+//! auditable: the shared side shows `copies ≈ captures` (the resume's
+//! top-segment copy), the eager side shows `copies ≈ 3 × captures`, and
+//! the gap widens with capture depth — the `deep` workload performs from
+//! under a 1800-frame tower to make per-capture segment volume dominate
+//! the interpreter's dispatch overhead.
 //!
 //! ```text
 //! effects_bench [OUT.json]    # default: BENCH_effects.json
 //! ```
 
-use std::time::Instant;
-
+use cm_bench::{counters, geomean, num, time_runs, write_json};
 use cm_core::{Engine, EngineConfig};
-
-struct Measurement {
-    median_ms: f64,
-    stdev_ms: f64,
-}
-
-fn time_runs(runs: usize, mut f: impl FnMut()) -> Measurement {
-    f(); // warmup
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_secs_f64() * 1000.0);
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / samples.len() as f64;
-    samples.sort_by(|a, b| a.total_cmp(b));
-    // The median, not the mean: one descheduled run must not swing the
-    // published ratio.
-    Measurement {
-        median_ms: samples[samples.len() / 2],
-        stdev_ms: var.sqrt(),
-    }
-}
-
-/// Per-side capture-path counters over one timed region.
-struct CaptureStats {
-    captures: u64,
-    fusions: u64,
-    copies: u64,
-}
+use cm_trace::json::Json;
 
 fn main() {
     let out_path = std::env::args()
@@ -78,7 +46,7 @@ fn main() {
     );
 
     let sides = [
-        ("one-shot-fused", EngineConfig::full()),
+        ("shared-segments", EngineConfig::full()),
         ("reify-and-copy", EngineConfig::no_one_shot()),
     ];
     let mut engines: Vec<Engine> = sides
@@ -91,21 +59,19 @@ fn main() {
         })
         .collect();
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"cm-bench-effects-v1\",\n");
-    out.push_str("  \"group\": \"effects\",\n");
-    out.push_str("  \"sides\": [\"one-shot-fused\", \"reify-and-copy\"],\n");
-    out.push_str("  \"workloads\": [\n");
-    let mut ratios = Vec::new();
-    for (i, w) in group.iter().enumerate() {
+    let (mut rows, mut ratios) = (Vec::new(), Vec::new());
+    for w in group {
         let check = format!("({} {})", w.entry, w.small_n);
         let call = format!("({} {})", w.entry, w.bench_n);
         let expected = w
             .expected
             .unwrap_or_else(|| panic!("{}: no pinned answer", w.name));
 
-        let mut rows = Vec::new();
+        let mut row = vec![
+            ("name".into(), Json::str(w.name)),
+            ("n".into(), Json::num(w.bench_n as u64)),
+        ];
+        let mut medians = Vec::new();
         for ((side, _), engine) in sides.iter().zip(engines.iter_mut()) {
             // Correctness first: a fast wrong answer is not a result.
             let got = engine
@@ -118,49 +84,42 @@ fn main() {
             );
 
             let before = engine.stats();
-            let m = time_runs(runs, || {
+            let t = time_runs(runs, || {
                 engine
                     .eval(&call)
                     .unwrap_or_else(|err| panic!("[{side}] {}: {err}", w.name));
             });
             let after = engine.stats();
-            let stats = CaptureStats {
-                captures: after.captures - before.captures,
-                fusions: after.fusions - before.fusions,
-                copies: after.copies - before.copies,
-            };
-            rows.push((side, m, stats));
+            let work = counters(&[
+                ("captures", after.captures - before.captures),
+                ("fusions", after.fusions - before.fusions),
+                ("copies", after.copies - before.copies),
+            ]);
+            let side_obj = Json::Obj(vec![("ms".into(), t.json()), ("counters".into(), work)]);
+            row.push(((*side).into(), side_obj));
+            medians.push(t.median);
         }
 
-        let fused = &rows[0].1;
-        let copied = &rows[1].1;
-        let ratio = copied.median_ms / fused.median_ms;
+        let ratio = medians[1] / medians[0];
         ratios.push(ratio);
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", w.name));
-        out.push_str(&format!("      \"n\": {},\n", w.bench_n));
-        for (side, m, stats) in &rows {
-            out.push_str(&format!(
-                "      \"{side}\": {{\"median-ms\": {:.3}, \"stdev-ms\": {:.3}, \
-                 \"captures\": {}, \"fusions\": {}, \"copies\": {}}},\n",
-                m.median_ms, m.stdev_ms, stats.captures, stats.fusions, stats.copies
-            ));
-        }
-        out.push_str(&format!("      \"copy-over-fused\": {ratio:.3}\n"));
-        out.push_str(if i + 1 == group.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+        row.push(("copy-over-shared".into(), num(ratio)));
+        rows.push(Json::Obj(row));
         println!(
-            "{:10} fused {:8.3} ms, copy {:8.3} ms, ratio ×{:.2}",
-            w.name, fused.median_ms, copied.median_ms, ratio
+            "{:10} shared {:8.3} ms, copy {:8.3} ms, ratio ×{ratio:.2}",
+            w.name, medians[0], medians[1]
         );
     }
-    let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"geomean-copy-over-fused\": {geomean:.3}\n"));
-    out.push_str("}\n");
-    std::fs::write(&out_path, &out).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("wrote {out_path} (geomean copy/fused ×{geomean:.2})");
+    let geomean = geomean(&ratios);
+    let doc = Json::Obj(vec![
+        ("schema".into(), Json::str("cm-bench-effects-v2")),
+        ("group".into(), Json::str("effects")),
+        (
+            "sides".into(),
+            Json::Arr(sides.iter().map(|(side, _)| Json::str(*side)).collect()),
+        ),
+        ("workloads".into(), Json::Arr(rows)),
+        ("geomean-copy-over-shared".into(), num(geomean)),
+    ]);
+    write_json(&out_path, &doc);
+    println!("wrote {out_path} (geomean copy/shared ×{geomean:.2})");
 }

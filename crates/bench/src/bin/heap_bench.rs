@@ -16,8 +16,9 @@
 //! way they do under the real interpreter's collection cadence.
 //!
 //! Alongside timings the file publishes the handle heap's own
-//! accounting: allocation counts and the bytes-live high-water mark
-//! ([`cm_vm::heap_stats`]).
+//! accounting under `"counters"`: allocations and collections so far
+//! and the bytes-live high-water mark ([`cm_vm::heap_stats`]), all
+//! cumulative over the run, so every row depends on the rows before it.
 //!
 //! ```text
 //! heap_bench [OUT.json]    # default: BENCH_heap.json
@@ -25,9 +26,10 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Instant;
 
+use cm_bench::{counters, geomean, num, time_runs, write_json};
 use cm_core::{Engine, EngineConfig};
+use cm_trace::json::Json;
 use cm_vm::Value;
 
 // ---------------------------------------------------------------------------
@@ -80,10 +82,6 @@ fn rc_cons(car: RcValue, cdr: RcValue) -> RcValue {
 // Workloads: the same operation mix on both representations
 // ---------------------------------------------------------------------------
 
-/// Handle-side collection cadence (in allocations, roughly): like the
-/// interpreter's safe points, workloads whose allocations mostly die
-/// young collect periodically with their live locals as roots, keeping
-/// slab occupancy near the live set instead of near the total allocated.
 /// Handle-side collection cadence, in allocations (roughly): like the
 /// interpreter's safe points, workloads whose allocations mostly die
 /// young collect periodically with their live locals as roots, keeping
@@ -92,10 +90,6 @@ fn rc_cons(car: RcValue, cdr: RcValue) -> RcValue {
 /// L2-resident; much tighter wastes time on per-collection fixed costs,
 /// much looser lets the slabs outgrow the cache.
 const COLLECT_EVERY: u64 = 32 * 1024;
-
-fn collect_every() -> u64 {
-    COLLECT_EVERY
-}
 
 /// Build an n-pair list of fixnums, walk it summing, let it drop.
 fn rc_cons_build_walk(n: u64) -> i64 {
@@ -167,7 +161,7 @@ fn rc_attach_churn(n: u64) -> i64 {
 }
 
 fn handle_attach_churn(engine: &mut Engine, n: u64) -> i64 {
-    let cadence = collect_every() / 2;
+    let cadence = COLLECT_EVERY / 2;
     let mut until = cadence;
     let mut marks = Value::cons(
         Value::cons(Value::fixnum(-1), Value::fixnum(-1)),
@@ -233,7 +227,7 @@ fn handle_reify_copy(engine: &mut Engine, n: u64) -> i64 {
     for i in 0..256 {
         src = Value::cons(Value::fixnum(i), src);
     }
-    let cadence = (collect_every() / 256).max(1);
+    let cadence = (COLLECT_EVERY / 256).max(1);
     let mut until = cadence;
     let mut count = 0i64;
     for _ in 0..n / 256 {
@@ -328,7 +322,7 @@ fn rc_vector_churn(n: u64) -> i64 {
 }
 
 fn handle_vector_churn(engine: &mut Engine, n: u64) -> i64 {
-    let cadence = collect_every();
+    let cadence = COLLECT_EVERY;
     let mut until = cadence;
     let mut keep = Value::Nil;
     let mut sum = 0i64;
@@ -358,30 +352,6 @@ fn handle_vector_churn(engine: &mut Engine, n: u64) -> i64 {
 // ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
-
-struct Measurement {
-    median_ms: f64,
-    stdev_ms: f64,
-}
-
-fn time_runs(runs: usize, mut f: impl FnMut()) -> Measurement {
-    f(); // warmup
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_secs_f64() * 1000.0);
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / samples.len() as f64;
-    samples.sort_by(|a, b| a.total_cmp(b));
-    // The median, not the mean: a single descheduled run would otherwise
-    // swing the published ratio.
-    Measurement {
-        median_ms: samples[samples.len() / 2],
-        stdev_ms: var.sqrt(),
-    }
-}
 
 fn main() {
     let out_path = std::env::args()
@@ -422,14 +392,8 @@ fn main() {
         ),
     ];
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"cm-bench-heap-v1\",\n");
-    out.push_str("  \"group\": \"allocation-heavy\",\n");
-    out.push_str("  \"sides\": [\"rc-baseline\", \"handle-heap\"],\n");
-    out.push_str("  \"workloads\": [\n");
-    let mut speedups = Vec::new();
-    for (i, (name, n, rc_fn, handle_fn)) in workloads.iter().enumerate() {
+    let (mut rows, mut speedups) = (Vec::new(), Vec::new());
+    for (name, n, rc_fn, handle_fn) in &workloads {
         // Both sides must compute the same answer, or the comparison is
         // comparing different programs.
         let rc_answer = rc_fn(*n / 10);
@@ -453,40 +417,48 @@ fn main() {
             engine.machine_mut().collect_now();
         });
         let stats = cm_vm::heap_stats();
-        let speedup = rc.median_ms / handle.median_ms;
+        let speedup = rc.median / handle.median;
         speedups.push(speedup);
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{name}\",\n"));
-        out.push_str(&format!("      \"n\": {n},\n"));
-        out.push_str(&format!(
-            "      \"rc-baseline\": {{\"mean-ms\": {:.3}, \"stdev-ms\": {:.3}}},\n",
-            rc.median_ms, rc.stdev_ms
-        ));
-        out.push_str(&format!(
-            "      \"handle-heap\": {{\"mean-ms\": {:.3}, \"stdev-ms\": {:.3}, \
-             \"allocations\": {}, \"collections\": {}, \"bytes-live-peak\": {}}},\n",
-            handle.median_ms,
-            handle.stdev_ms,
-            stats.allocations,
-            stats.collections,
-            stats.bytes_live_peak
-        ));
-        out.push_str(&format!("      \"speedup\": {speedup:.3}\n"));
-        out.push_str(if i + 1 == workloads.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+        rows.push(Json::Obj(vec![
+            ("name".into(), Json::str(*name)),
+            ("n".into(), Json::num(*n)),
+            (
+                "rc-baseline".into(),
+                Json::Obj(vec![("ms".into(), rc.json())]),
+            ),
+            (
+                "handle-heap".into(),
+                Json::Obj(vec![
+                    ("ms".into(), handle.json()),
+                    (
+                        "counters".into(),
+                        counters(&[
+                            ("allocations", stats.allocations),
+                            ("collections", stats.collections),
+                            ("bytes-live-peak", stats.bytes_live_peak),
+                        ]),
+                    ),
+                ]),
+            ),
+            ("speedup".into(), num(speedup)),
+        ]));
         println!(
-            "{name}: rc {:.3} ms, handle {:.3} ms, speedup ×{:.2}",
-            rc.median_ms, handle.median_ms, speedup
+            "{name}: rc {:.3} ms, handle {:.3} ms, speedup ×{speedup:.2}",
+            rc.median, handle.median
         );
     }
-    let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"geomean-speedup\": {geomean:.3}\n"));
-    out.push_str("}\n");
-    std::fs::write(&out_path, &out).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    let geomean = geomean(&speedups);
+    let doc = Json::Obj(vec![
+        ("schema".into(), Json::str("cm-bench-heap-v2")),
+        ("group".into(), Json::str("allocation-heavy")),
+        (
+            "sides".into(),
+            Json::Arr(vec![Json::str("rc-baseline"), Json::str("handle-heap")]),
+        ),
+        ("workloads".into(), Json::Arr(rows)),
+        ("geomean-speedup".into(), num(geomean)),
+    ]);
+    write_json(&out_path, &doc);
     println!("wrote {out_path} (geomean speedup ×{geomean:.2})");
     // The acceptance floor: the handle heap must beat the Rc tree by
     // ≥1.3× geomean on this group, or the published file is advertising

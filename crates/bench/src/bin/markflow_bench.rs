@@ -9,33 +9,33 @@
 //! markflow_bench [OUT.json]    # default: BENCH_markflow.json
 //! ```
 
-use cm_bench::measure;
+use cm_bench::{counters, measure, write_json};
 use cm_core::{Engine, EngineConfig};
+use cm_trace::json::Json;
 use cm_vm::MachineStats;
 use cm_workloads::{load_into, markflow_micros, run_scaled, Workload};
 
-/// One measured run at `n`: event counters from a single counted run.
-fn counters(config: EngineConfig, w: &Workload, n: i64) -> MachineStats {
-    let mut engine = Engine::new(config);
+/// One config's side of a row: the event counters of a single counted
+/// run at `n`, then the timing on a fresh engine.
+fn side(config: EngineConfig, w: &Workload, n: i64, runs: usize) -> (Json, MachineStats) {
+    let mut engine = Engine::new(config.clone());
     load_into(&mut engine, w);
     engine.reset_stats();
     run_scaled(&mut engine, w, n).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    engine.stats()
-}
-
-fn side(out: &mut String, label: &str, config: EngineConfig, w: &Workload, n: i64, runs: usize) {
-    let stats = counters(config.clone(), w, n);
-    let mut engine = Engine::new(config);
-    let m = measure(&mut engine, w, n, runs);
-    out.push_str(&format!(
-        "      \"{label}\": {{\"mean-ms\": {:.3}, \"stdev-ms\": {:.3}, \
-         \"reifications\": {}, \"attachments-pushed\": {}, \"attachments-popped\": {}}}",
-        m.mean_ms,
-        m.stdev_ms,
-        stats.reifications,
-        stats.attachments_pushed,
-        stats.attachments_popped
-    ));
+    let stats = engine.stats();
+    let t = measure(&mut Engine::new(config), w, n, runs);
+    let json = Json::Obj(vec![
+        ("ms".into(), t.json()),
+        (
+            "counters".into(),
+            counters(&[
+                ("reifications", stats.reifications),
+                ("attachments-pushed", stats.attachments_pushed),
+                ("attachments-popped", stats.attachments_popped),
+            ]),
+        ),
+    ]);
+    (json, stats)
 }
 
 fn main() {
@@ -43,32 +43,13 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_markflow.json".to_owned());
     let runs = 5;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"cm-bench-markflow-v1\",\n");
-    out.push_str("  \"group\": \"markflow-micros\",\n");
-    out.push_str("  \"configs\": [\"full\", \"mark-flow\"],\n");
-    out.push_str("  \"workloads\": [\n");
-    let ws = markflow_micros();
-    for (i, w) in ws.iter().enumerate() {
+    let mut rows = Vec::new();
+    for w in markflow_micros() {
         let n = (w.bench_n / 10).max(1);
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", w.name));
-        out.push_str(&format!("      \"n\": {n},\n"));
-        side(&mut out, "full", EngineConfig::full(), w, n, runs);
-        out.push_str(",\n");
-        side(&mut out, "mark-flow", EngineConfig::mark_flow(), w, n, runs);
-        out.push('\n');
-        out.push_str(if i + 1 == ws.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-
+        let (full_json, full) = side(EngineConfig::full(), w, n, runs);
+        let (mf_json, mf) = side(EngineConfig::mark_flow(), w, n, runs);
         // Sanity: the optimizer must show up in the counters, or the
         // published file is advertising a no-op.
-        let full = counters(EngineConfig::full(), w, n);
-        let mf = counters(EngineConfig::mark_flow(), w, n);
         assert!(
             mf.reifications < full.reifications || mf.attachments_pushed < full.attachments_pushed,
             "{}: mark-flow elided nothing (full: {} reifications / {} pushes, \
@@ -79,8 +60,22 @@ fn main() {
             mf.reifications,
             mf.attachments_pushed
         );
+        rows.push(Json::Obj(vec![
+            ("name".into(), Json::str(w.name)),
+            ("n".into(), Json::num(n as u64)),
+            ("full".into(), full_json),
+            ("mark-flow".into(), mf_json),
+        ]));
     }
-    out.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &out).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    let doc = Json::Obj(vec![
+        ("schema".into(), Json::str("cm-bench-markflow-v2")),
+        ("group".into(), Json::str("markflow-micros")),
+        (
+            "configs".into(),
+            Json::Arr(vec![Json::str("full"), Json::str("mark-flow")]),
+        ),
+        ("workloads".into(), Json::Arr(rows)),
+    ]);
+    write_json(&out_path, &doc);
     println!("wrote {out_path}");
 }

@@ -23,15 +23,22 @@
 //!   wall-clock here — the binary asserts it, so a regressed steal path
 //!   fails the benchmark instead of publishing a bad number.
 //!
+//! Each side's `"latency-ms"` is the median turnaround with its
+//! quartiles over every task of the run. Steal and migration counts
+//! depend on thread timing, so this file has no `"counters"` for
+//! `bench_check` to gate.
+//!
 //! ```text
 //! sched_bench [--quick] [OUT.json]    # default: BENCH_sched.json
 //! ```
 
+use cm_bench::{num, write_json, Timing};
 use cm_engines::{
     jain_index, run_pool, JobSpec, Outcome, PoolConfig, PoolReport, PoolSpec, SchedConfig,
     StealConfig,
 };
 use cm_torture::torture_targets;
+use cm_trace::json::Json;
 
 const WORKERS: usize = 4;
 const SLICE: u64 = 5_000;
@@ -136,7 +143,7 @@ fn gate(ctx: &str, report: &PoolReport, tasks: usize) {
 struct Row {
     wall_ms: f64,
     tasks_per_sec: f64,
-    p50_ms: f64,
+    latency_ms: Timing,
     p95_ms: f64,
     p99_ms: f64,
     jain_task: f64,
@@ -149,10 +156,15 @@ fn measure(ctx: &str, spec: &PoolSpec, steal: bool) -> Row {
     let report = run_pool(&pool_config(steal), spec);
     gate(ctx, &report, spec.jobs.len());
     let m = &report.metrics;
+    let turnaround: Vec<f64> = report
+        .all_reports()
+        .iter()
+        .map(|r| r.turnaround.as_secs_f64() * 1e3)
+        .collect();
     Row {
         wall_ms: m.wall.as_secs_f64() * 1e3,
         tasks_per_sec: m.tasks_per_sec,
-        p50_ms: m.latency_p50.as_secs_f64() * 1e3,
+        latency_ms: Timing::of(&turnaround),
         p95_ms: m.latency_p95.as_secs_f64() * 1e3,
         p99_ms: m.latency_p99.as_secs_f64() * 1e3,
         jain_task: m.fairness_jain,
@@ -162,21 +174,28 @@ fn measure(ctx: &str, spec: &PoolSpec, steal: bool) -> Row {
     }
 }
 
-fn row_json(r: &Row) -> String {
-    format!(
-        "{{\"wall-ms\": {:.2}, \"tasks-per-sec\": {:.0}, \"p50-ms\": {:.3}, \
-         \"p95-ms\": {:.3}, \"p99-ms\": {:.3}, \"jain-task\": {:.4}, \
-         \"jain-worker-load\": {:.4}, \"steals\": {}, \"migrations\": {}}}",
-        r.wall_ms,
-        r.tasks_per_sec,
-        r.p50_ms,
-        r.p95_ms,
-        r.p99_ms,
-        r.jain_task,
-        r.jain_worker_load,
-        r.steals,
-        r.migrations
-    )
+fn row_json(r: &Row) -> Json {
+    Json::Obj(vec![
+        ("wall-ms".into(), num(r.wall_ms)),
+        ("tasks-per-sec".into(), num(r.tasks_per_sec.round())),
+        ("latency-ms".into(), r.latency_ms.json()),
+        ("p95-ms".into(), num(r.p95_ms)),
+        ("p99-ms".into(), num(r.p99_ms)),
+        ("jain-task".into(), num(r.jain_task)),
+        ("jain-worker-load".into(), num(r.jain_worker_load)),
+        ("steals".into(), Json::num(r.steals)),
+        ("migrations".into(), Json::num(r.migrations)),
+    ])
+}
+
+/// A row comparing the two columns on `tasks` tasks.
+fn pair(name: &str, tasks: usize, stat: &Row, steal: &Row) -> Vec<(String, Json)> {
+    vec![
+        ("name".into(), Json::str(name)),
+        ("tasks".into(), Json::num(tasks as u64)),
+        ("static".into(), row_json(stat)),
+        ("stealing".into(), row_json(steal)),
+    ]
 }
 
 fn main() {
@@ -195,17 +214,8 @@ fn main() {
     };
     let skew_tasks = if quick { 64 } else { 256 };
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"cm-bench-sched-v1\",\n");
-    out.push_str(&format!(
-        "  \"workers\": {WORKERS},\n  \"slice\": {SLICE},\n  \"quick\": {quick},\n"
-    ));
-    out.push_str(
-        "  \"note\": \"static = stealing off; both columns admit at most 32 live engines per worker\",\n",
-    );
-    out.push_str("  \"fleets\": [\n");
-    for (i, &tasks) in fleets.iter().enumerate() {
+    let mut rows = Vec::new();
+    for &tasks in fleets {
         let spec = fleet_spec(tasks);
         let stat = measure(&format!("fleet-{tasks}-static"), &spec, false);
         let steal = measure(&format!("fleet-{tasks}-stealing"), &spec, true);
@@ -221,14 +231,13 @@ fn main() {
             steal.steals,
             steal.migrations
         );
-        out.push_str(&format!(
-            "    {{\"tasks\": {tasks}, \"static\": {}, \"stealing\": {}}}{}\n",
-            row_json(&stat),
-            row_json(&steal),
-            if i + 1 == fleets.len() { "" } else { "," }
-        ));
+        rows.push(Json::Obj(pair(
+            &format!("fleet-{tasks}"),
+            tasks,
+            &stat,
+            &steal,
+        )));
     }
-    out.push_str("  ],\n");
 
     // The adversarial skew — the headline comparison. The assert makes
     // the benchmark a regression test: stealing must win here.
@@ -252,13 +261,22 @@ fn main() {
         steal.steals > 0,
         "the skewed run recorded no steals — the tier never engaged"
     );
-    out.push_str(&format!(
-        "  \"skew\": {{\"tasks\": {skew_tasks}, \"static\": {}, \"stealing\": {}, \
-         \"speedup\": {speedup:.3}}}\n",
-        row_json(&stat),
-        row_json(&steal)
-    ));
-    out.push_str("}\n");
-    std::fs::write(&out_path, &out).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    let mut skew = pair("skew", skew_tasks, &stat, &steal);
+    skew.push(("speedup".into(), num(speedup)));
+    let doc = Json::Obj(vec![
+        ("schema".into(), Json::str("cm-bench-sched-v2")),
+        ("workers".into(), Json::num(WORKERS as u64)),
+        ("slice".into(), Json::num(SLICE)),
+        ("quick".into(), Json::Bool(quick)),
+        (
+            "note".into(),
+            Json::str(
+                "static = stealing off; both columns admit at most 32 live engines per worker",
+            ),
+        ),
+        ("fleets".into(), Json::Arr(rows)),
+        ("skew".into(), Json::Obj(skew)),
+    ]);
+    write_json(&out_path, &doc);
     println!("wrote {out_path} (skew speedup ×{speedup:.2})");
 }

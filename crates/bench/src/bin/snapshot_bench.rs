@@ -10,7 +10,9 @@
 //! 1k and 10k engines as snapshot bytes, the way the supervised
 //! scheduler's checkpoints do. Every timed snapshot is also resumed once
 //! and checked against the uninterrupted answer, so the numbers can't
-//! quietly describe a codec that corrupts state.
+//! quietly describe a codec that corrupts state. Byte counts are
+//! deterministic and sit under `"counters"`; a fleet row times each
+//! engine's spawn, run to its cut and snapshot as one sample.
 //!
 //! ```text
 //! snapshot_bench [OUT.json]    # default: BENCH_snapshot.json
@@ -18,8 +20,10 @@
 
 use std::time::Instant;
 
+use cm_bench::{counters, num, time_runs, write_json, Timing};
 use cm_core::EngineConfig;
 use cm_engines::{Engine, RunResult, WorkerHost};
+use cm_trace::json::Json;
 use cm_vm::{Machine, Value};
 
 /// The checkpointed workload: a mark-annotated accumulator loop that
@@ -43,32 +47,17 @@ const RUN: &str = "(spin 200000 (build 4000 '()))";
 /// accumulator list exists and the loop is mid-flight.
 const WARM_SLICES: u64 = 40_000;
 
-struct Measurement {
-    median_ms: f64,
-    stdev_ms: f64,
-}
-
-fn time_runs(runs: usize, mut f: impl FnMut()) -> Measurement {
-    f(); // warmup
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_secs_f64() * 1000.0);
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / samples.len() as f64;
-    samples.sort_by(|a, b| a.total_cmp(b));
-    // The median, not the mean: a single descheduled run would otherwise
-    // swing the published numbers.
-    Measurement {
-        median_ms: samples[samples.len() / 2],
-        stdev_ms: var.sqrt(),
-    }
-}
-
-fn mb_per_s(bytes: usize, ms: f64) -> f64 {
-    (bytes as f64 / (1024.0 * 1024.0)) / (ms / 1000.0)
+/// A throughput row: the timing of one codec operation on a snapshot of
+/// `bytes` bytes, and the rate its median implies.
+fn throughput(name: &str, bytes: usize, t: Timing, work: Option<Json>) -> Json {
+    let mb_per_s = (bytes as f64 / (1024.0 * 1024.0)) / (t.median / 1000.0);
+    let mut row = vec![
+        ("name".into(), Json::str(name)),
+        ("ms".into(), t.json()),
+        ("mb-per-s".into(), num(mb_per_s)),
+    ];
+    row.extend(work.map(|w| ("counters".into(), w)));
+    Json::Obj(row)
 }
 
 /// Runs an engine to completion and returns the displayed value.
@@ -147,13 +136,14 @@ fn main() {
     // Fleet footprint: park N engines (same program, staggered cut
     // points, shared host globals) as durable bytes — the supervised
     // scheduler's steady state with checkpointing on.
-    let mut fleet_rows = String::new();
-    for (i, fleet_n) in [1_000usize, 10_000].into_iter().enumerate() {
-        let started = Instant::now();
+    let mut fleet = Vec::new();
+    for fleet_n in [1_000usize, 10_000] {
+        let mut samples = Vec::with_capacity(fleet_n);
         let mut total_bytes: u64 = 0;
         let mut min_bytes = u64::MAX;
         let mut max_bytes = 0u64;
         for k in 0..fleet_n {
+            let started = Instant::now();
             let engine = host.spawn(RUN).unwrap_or_else(|e| panic!("compile: {e}"));
             // Stagger the cuts so the parked fleet spans many machine
             // states instead of measuring one state N times.
@@ -164,54 +154,58 @@ fn main() {
             let b = engine
                 .snapshot()
                 .unwrap_or_else(|e| panic!("fleet snapshot: {e}"));
+            samples.push(started.elapsed().as_secs_f64() * 1000.0);
             let n = b.len() as u64;
             total_bytes += n;
             min_bytes = min_bytes.min(n);
             max_bytes = max_bytes.max(n);
         }
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
         let per_engine = total_bytes / fleet_n as u64;
-        fleet_rows.push_str(&format!(
-            "    {{\"engines\": {fleet_n}, \"total-bytes\": {total_bytes}, \
-             \"bytes-per-engine\": {per_engine}, \"min-bytes\": {min_bytes}, \
-             \"max-bytes\": {max_bytes}, \"wall-ms\": {elapsed_ms:.1}}}{}",
-            if i == 0 { ",\n" } else { "\n" }
-        ));
+        let t = Timing::of(&samples);
+        fleet.push(Json::Obj(vec![
+            ("name".into(), Json::str(format!("fleet-{fleet_n}"))),
+            ("engines".into(), Json::num(fleet_n as u64)),
+            ("ms-per-engine".into(), t.json()),
+            (
+                "counters".into(),
+                counters(&[
+                    ("total-bytes", total_bytes),
+                    ("bytes-per-engine", per_engine),
+                    ("min-bytes", min_bytes),
+                    ("max-bytes", max_bytes),
+                ]),
+            ),
+        ]));
         println!(
-            "fleet {fleet_n}: {per_engine} bytes/engine ({total_bytes} total, {elapsed_ms:.0} ms)"
+            "fleet {fleet_n}: {per_engine} bytes/engine ({total_bytes} total, {:.2} ms/engine)",
+            t.median
         );
     }
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"cm-bench-snapshot-v1\",\n");
-    out.push_str("  \"workload\": \"mark-annotated accumulator loop, 4k-pair live list\",\n");
-    out.push_str(&format!("  \"snapshot-bytes\": {snapshot_bytes},\n"));
-    out.push_str(&format!(
-        "  \"snapshot\": {{\"median-ms\": {:.3}, \"stdev-ms\": {:.3}, \"mb-per-s\": {:.1}}},\n",
-        snap.median_ms,
-        snap.stdev_ms,
-        mb_per_s(snapshot_bytes, snap.median_ms)
-    ));
-    out.push_str(&format!(
-        "  \"restore-vm\": {{\"median-ms\": {:.3}, \"stdev-ms\": {:.3}, \"mb-per-s\": {:.1}}},\n",
-        restore_vm.median_ms,
-        restore_vm.stdev_ms,
-        mb_per_s(snapshot_bytes, restore_vm.median_ms)
-    ));
-    out.push_str(&format!(
-        "  \"restore-verified\": {{\"median-ms\": {:.3}, \"stdev-ms\": {:.3}, \"mb-per-s\": {:.1}}},\n",
-        restore_verified.median_ms,
-        restore_verified.stdev_ms,
-        mb_per_s(snapshot_bytes, restore_verified.median_ms)
-    ));
-    out.push_str("  \"fleet\": [\n");
-    out.push_str(&fleet_rows);
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    std::fs::write(&out_path, &out).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    let doc = Json::Obj(vec![
+        ("schema".into(), Json::str("cm-bench-snapshot-v2")),
+        (
+            "workload".into(),
+            Json::str("mark-annotated accumulator loop, 4k-pair live list"),
+        ),
+        (
+            "workloads".into(),
+            Json::Arr(vec![
+                throughput(
+                    "snapshot",
+                    snapshot_bytes,
+                    snap,
+                    Some(counters(&[("bytes", snapshot_bytes as u64)])),
+                ),
+                throughput("restore-vm", snapshot_bytes, restore_vm, None),
+                throughput("restore-verified", snapshot_bytes, restore_verified, None),
+            ]),
+        ),
+        ("fleet".into(), Json::Arr(fleet)),
+    ]);
+    write_json(&out_path, &doc);
     println!(
         "wrote {out_path} ({snapshot_bytes} bytes/snapshot, snapshot {:.2} ms, restore {:.2} ms)",
-        snap.median_ms, restore_verified.median_ms
+        snap.median, restore_verified.median
     );
 }

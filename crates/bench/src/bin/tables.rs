@@ -5,17 +5,19 @@
 //! Usage:
 //!
 //! ```text
-//! tables [--quick | --full] [table ...]
+//! tables [--quick] [table ...]
 //! tables --list
 //! ```
 //!
 //! Tables: `ctak`, `triple`, `modified-chez`, `gabriel`, `attachments`,
-//! `marks`, `contract`, `apps`, `ablations`. Default runs all at the
-//! standard scale; `--quick` runs a fast smoke-scale pass.
+//! `marks`, `contract`, `apps`, `ablations`, `trace-overhead`. Default
+//! runs all at the standard scale; `--quick` runs a fast smoke-scale
+//! pass. An unknown table name or flag is a usage error (exit 2).
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use cm_bench::{fmt_ratio, measure, paper, Measurement};
+use cm_bench::{fmt_ratio, measure, paper, time_runs, Timing};
 use cm_core::{Engine, EngineConfig};
 use cm_workloads as wl;
 
@@ -45,7 +47,7 @@ fn scaled(w: &wl::Workload, s: Scale) -> i64 {
     (w.bench_n / s.divisor).max(1)
 }
 
-fn run_one(kind: &str, w: &wl::Workload, s: Scale) -> Measurement {
+fn run_one(kind: &str, w: &wl::Workload, s: Scale) -> Timing {
     let mut e = engine(kind);
     measure(&mut e, w, scaled(w, s), s.runs)
 }
@@ -63,33 +65,32 @@ fn table_ctak(s: Scale) {
     header("T-8.1  ctak across implementation strategies");
     let w = &wl::ctak()[0];
     let size = if s.divisor > 1 { 0 } else { 1 };
-    let mut rows: Vec<(String, f64)> = Vec::new();
 
     // Heap-allocated frames (the reference model) ≈ Pycket's strategy.
-    {
-        let src = w.source.to_owned();
-        let mut interp = cm_refmodel::RefInterp::new();
-        interp.eval(&src).expect("ctak loads in refmodel");
-        let t0 = Instant::now();
-        interp.eval(&format!("(ctak-bench {size})")).expect("runs");
-        rows.push((
-            "heap frames (refmodel ≈ Pycket)".into(),
-            t0.elapsed().as_secs_f64() * 1000.0,
-        ));
-    }
+    let mut interp = cm_refmodel::RefInterp::new();
+    interp.eval(w.source).expect("ctak loads in refmodel");
+    let call = format!("(ctak-bench {size})");
+    let mut rows = vec![(
+        "heap frames (refmodel ≈ Pycket)",
+        time_runs(s.runs, || {
+            interp.eval(&call).expect("ctak runs in refmodel");
+        }),
+    )];
     for (label, kind) in [
         ("segmented stack (≈ Chez Scheme)", "chez"),
         ("wrapped control (≈ Racket CS)", "racket-cs"),
         ("eager mark stack (≈ old Racket)", "old-racket"),
     ] {
-        let mut e = engine(kind);
-        let m = measure(&mut e, w, size, s.runs);
-        rows.push((label.into(), m.mean_ms));
+        rows.push((label, measure(&mut engine(kind), w, size, s.runs)));
     }
-    let chez = rows[1].1.max(0.000_1);
-    println!("{:38} {:>12}  {:>9}", "strategy", "measured", "vs chez");
-    for (label, ms) in &rows {
-        println!("{label:38} {ms:9.2} ms  {:>9}", fmt_ratio(ms / chez));
+    let chez = rows[1].1;
+    println!("{:34} {:>24}  {:>9}", "strategy", "measured", "vs chez");
+    for (label, t) in &rows {
+        println!(
+            "{label:34} {:>24}  {:>9}",
+            t.to_string(),
+            fmt_ratio(chez.speedup_of(t))
+        );
     }
     println!("paper (ms): {:?}", paper::CTAK);
 }
@@ -121,16 +122,17 @@ fn table_triple(s: Scale) {
 }
 
 // ----------------------------------------------------------------------
-// T-8.2: unmod vs attach vs all-mods on triple
+// T-8.2 / F-2: unmod vs attach vs all-mods
 // ----------------------------------------------------------------------
 
-fn table_modified_chez(s: Scale) {
-    header("T-8.2  cost of the modifications (triple)");
+/// One row per workload: the unmodified engine's timing, then attach
+/// and all-mods as ratios to it.
+fn modifications<'a>(first: &str, ws: impl Iterator<Item = &'a wl::Workload>, s: Scale) {
     println!(
-        "{:16} {:>24} {:>9} {:>9}",
-        "encoding", "unmod", "attach", "all mods"
+        "{first:16} {:>24} {:>9} {:>9}",
+        "unmod", "attach", "all mods"
     );
-    for w in wl::triple().iter().filter(|w| w.name != "triple-native") {
+    for w in ws {
         let unmod = run_one("unmod", w, s);
         let attach = run_one("chez", w, s);
         let allmods = run_one("racket-cs", w, s);
@@ -142,135 +144,103 @@ fn table_modified_chez(s: Scale) {
             fmt_ratio(unmod.speedup_of(&allmods))
         );
     }
+}
+
+fn table_modified_chez(s: Scale) {
+    header("T-8.2  cost of the modifications (triple)");
+    let ws = wl::triple().iter().filter(|w| w.name != "triple-native");
+    modifications("encoding", ws, s);
     println!("paper: {:?}", paper::MODIFIED_CHEZ);
 }
 
-// ----------------------------------------------------------------------
-// F-2: traditional Scheme benchmarks
-// ----------------------------------------------------------------------
-
 fn table_gabriel(s: Scale) {
     header("F-2  traditional Scheme benchmarks (attach should be ~×1.00)");
-    println!(
-        "{:12} {:>24} {:>9} {:>9}",
-        "benchmark", "unmod", "attach", "all mods"
-    );
-    for w in wl::gabriel() {
-        let unmod = run_one("unmod", w, s);
-        let attach = run_one("chez", w, s);
-        let allmods = run_one("racket-cs", w, s);
-        println!(
-            "{:12} {:>24} {:>9} {:>9}",
-            w.name,
-            unmod.to_string(),
-            fmt_ratio(unmod.speedup_of(&attach)),
-            fmt_ratio(unmod.speedup_of(&allmods))
-        );
-    }
+    modifications("benchmark", wl::gabriel().iter(), s);
     println!("paper figure 2: attach within one stdev of unmod on 22/38 suites; shown rows within ×0.94–×1.05");
 }
 
 // ----------------------------------------------------------------------
-// F-4: builtin vs imitation attachments
+// F-4, F-5, T-8.4: one engine against another, next to the paper's ratio
 // ----------------------------------------------------------------------
 
-fn table_attachments(s: Scale) {
-    header("F-4  continuation attachments: builtin vs figure-3 imitation");
-    println!(
-        "{:20} {:>24} {:>24} {:>9} {:>9}",
-        "benchmark", "builtin", "imitate", "speedup", "paper"
-    );
-    for (i, w) in wl::attachment_micros().iter().enumerate() {
-        let builtin = run_one("chez", w, s);
-        let imitate = run_one("imitate", w, s);
-        let paper_ratio = paper::ATTACHMENTS[i].2;
+/// One row per workload: engines `a` and `b`, how many times slower `b`
+/// is, and the paper's ratio for the same row.
+fn versus(first: &str, [a, b]: [&str; 2], ws: &[wl::Workload], paper: &[f64], s: Scale) {
+    println!("{first:20} {a:>24} {b:>24} {:>9} {:>9}", "ratio", "paper");
+    for (w, paper_ratio) in ws.iter().zip(paper) {
+        let ta = run_one(a, w, s);
+        let tb = run_one(b, w, s);
         println!(
             "{:20} {:>24} {:>24} {:>9} {:>9}",
             w.name,
-            builtin.to_string(),
-            imitate.to_string(),
-            fmt_ratio(builtin.speedup_of(&imitate)),
-            fmt_ratio(paper_ratio)
+            ta.to_string(),
+            tb.to_string(),
+            fmt_ratio(ta.speedup_of(&tb)),
+            fmt_ratio(*paper_ratio)
         );
     }
 }
 
-// ----------------------------------------------------------------------
-// F-5: Racket CS vs old Racket on mark benchmarks
-// ----------------------------------------------------------------------
+fn table_attachments(s: Scale) {
+    header("F-4  continuation attachments: builtin (chez) vs figure-3 imitation");
+    let paper: Vec<f64> = paper::ATTACHMENTS.iter().map(|r| r.2).collect();
+    versus(
+        "benchmark",
+        ["chez", "imitate"],
+        wl::attachment_micros(),
+        &paper,
+        s,
+    );
+}
 
 fn table_marks(s: Scale) {
     header("F-5  continuation marks: Racket CS vs old Racket model");
-    println!(
-        "{:20} {:>24} {:>24} {:>9} {:>9}",
-        "benchmark", "racket-cs", "old-racket", "ratio", "paper"
+    let paper: Vec<f64> = paper::MARKS.iter().map(|r| r.2).collect();
+    versus(
+        "benchmark",
+        ["racket-cs", "old-racket"],
+        wl::mark_micros(),
+        &paper,
+        s,
     );
-    for (i, w) in wl::mark_micros().iter().enumerate() {
-        let cs = run_one("racket-cs", w, s);
-        let old = run_one("old-racket", w, s);
-        let paper_ratio = paper::MARKS[i].2;
-        println!(
-            "{:20} {:>24} {:>24} {:>9} {:>9}",
-            w.name,
-            cs.to_string(),
-            old.to_string(),
-            fmt_ratio(cs.speedup_of(&old)),
-            fmt_ratio(paper_ratio)
-        );
-    }
 }
-
-// ----------------------------------------------------------------------
-// T-8.4a: contract benchmark
-// ----------------------------------------------------------------------
 
 fn table_contract(s: Scale) {
-    header("T-8.4a  contract checking: builtin vs imitate");
-    println!(
-        "{:12} {:>24} {:>24} {:>9} {:>9}",
-        "mode", "builtin", "imitate", "ratio", "paper"
-    );
-    for (i, w) in wl::contract().iter().enumerate() {
-        let builtin = run_one("racket-cs", w, s);
-        let imitate = run_one("imitate", w, s);
-        println!(
-            "{:12} {:>24} {:>24} {:>9} {:>9}",
-            w.name,
-            builtin.to_string(),
-            imitate.to_string(),
-            fmt_ratio(builtin.speedup_of(&imitate)),
-            fmt_ratio(paper::CONTRACT[i].2)
-        );
-    }
+    header("T-8.4a  contract checking: builtin (racket-cs) vs imitate");
+    let paper: Vec<f64> = paper::CONTRACT.iter().map(|r| r.2).collect();
+    versus("mode", ["racket-cs", "imitate"], wl::contract(), &paper, s);
 }
 
-// ----------------------------------------------------------------------
-// T-8.4b: applications
-// ----------------------------------------------------------------------
-
 fn table_apps(s: Scale) {
-    header("T-8.4b  applications: builtin vs imitate");
-    println!(
-        "{:20} {:>24} {:>24} {:>9} {:>9}",
-        "application", "builtin", "imitate", "ratio", "paper"
+    header("T-8.4b  applications: builtin (racket-cs) vs imitate");
+    let paper: Vec<f64> = paper::APPLICATIONS.iter().map(|r| r.2).collect();
+    versus(
+        "application",
+        ["racket-cs", "imitate"],
+        wl::applications(),
+        &paper,
+        s,
     );
-    for (i, w) in wl::applications().iter().enumerate() {
-        let builtin = run_one("racket-cs", w, s);
-        let imitate = run_one("imitate", w, s);
-        println!(
-            "{:20} {:>24} {:>24} {:>9} {:>9}",
-            w.name,
-            builtin.to_string(),
-            imitate.to_string(),
-            fmt_ratio(builtin.speedup_of(&imitate)),
-            fmt_ratio(paper::APPLICATIONS[i].2)
-        );
-    }
 }
 
 // ----------------------------------------------------------------------
 // F-6: ablations
 // ----------------------------------------------------------------------
+
+/// Prints `label`'s full Racket CS timing and each ablation's ratio to
+/// it, followed by the paper's ratio where the paper has one.
+fn ablation_row(label: &str, w: &wl::Workload, paper: Option<[f64; 3]>, s: Scale) {
+    let full = run_one("racket-cs", w, s);
+    print!("{label:20} {:>24}", full.to_string());
+    for (i, kind) in ["no-1cc", "no-opt", "no-prim"].into_iter().enumerate() {
+        let ratio = fmt_ratio(full.speedup_of(&run_one(kind, w, s)));
+        match paper {
+            Some(p) => print!(" {ratio:>7} ({:>5})", fmt_ratio(p[i])),
+            None => print!(" {ratio:>16}"),
+        }
+    }
+    println!();
+}
 
 fn table_ablations(s: Scale) {
     header("F-6  ablations (ratios vs full Racket CS; paper in parens)");
@@ -278,65 +248,61 @@ fn table_ablations(s: Scale) {
         "{:20} {:>24} {:>16} {:>16} {:>16}",
         "benchmark", "racket-cs", "no 1cc", "no opt", "no prim"
     );
-    let paper_of = |name: &str| {
-        paper::ABLATIONS_MARKS
-            .iter()
-            .find(|(n, _, _, _)| *n == name)
-            .map(|(_, a, b, c)| (*a, *b, *c))
-    };
-    for w in wl::mark_micros().iter().filter(|w| {
-        // The paper's figure 6 covers the mark benchmarks that involve
-        // set/get operations plus base-deep.
-        paper_of(w.name).is_some()
-    }) {
-        let full = run_one("racket-cs", w, s);
-        let no1cc = run_one("no-1cc", w, s);
-        let noopt = run_one("no-opt", w, s);
-        let noprim = run_one("no-prim", w, s);
-        let (pa, pb, pc) = paper_of(w.name).expect("filtered");
-        println!(
-            "{:20} {:>24} {:>7} ({:>5}) {:>7} ({:>5}) {:>7} ({:>5})",
-            w.name,
-            full.to_string(),
-            fmt_ratio(full.speedup_of(&no1cc)),
-            fmt_ratio(pa),
-            fmt_ratio(full.speedup_of(&noopt)),
-            fmt_ratio(pb),
-            fmt_ratio(full.speedup_of(&noprim)),
-            fmt_ratio(pc),
-        );
+    // The paper's figure 6 covers the mark benchmarks that involve
+    // set/get operations plus base-deep.
+    for w in wl::mark_micros() {
+        let paper = paper::ABLATIONS_MARKS.iter().find(|r| r.0 == w.name);
+        if let Some(&(_, a, b, c)) = paper {
+            ablation_row(w.name, w, Some([a, b, c]), s);
+        }
     }
-    for (i, w) in wl::contract().iter().enumerate() {
-        let full = run_one("racket-cs", w, s);
-        let no1cc = run_one("no-1cc", w, s);
-        let noopt = run_one("no-opt", w, s);
-        let noprim = run_one("no-prim", w, s);
-        let (_, pa, pb, pc) = paper::ABLATIONS_CONTRACT[i];
-        println!(
-            "{:20} {:>24} {:>7} ({:>5}) {:>7} ({:>5}) {:>7} ({:>5})",
-            format!("contract-{}", w.name),
-            full.to_string(),
-            fmt_ratio(full.speedup_of(&no1cc)),
-            fmt_ratio(pa),
-            fmt_ratio(full.speedup_of(&noopt)),
-            fmt_ratio(pb),
-            fmt_ratio(full.speedup_of(&noprim)),
-            fmt_ratio(pc),
-        );
+    for (w, &(_, a, b, c)) in wl::contract().iter().zip(paper::ABLATIONS_CONTRACT) {
+        ablation_row(&format!("contract-{}", w.name), w, Some([a, b, c]), s);
     }
     for w in wl::applications() {
-        let full = run_one("racket-cs", w, s);
-        let no1cc = run_one("no-1cc", w, s);
-        let noopt = run_one("no-opt", w, s);
-        let noprim = run_one("no-prim", w, s);
-        println!(
-            "{:20} {:>24} {:>16} {:>16} {:>16}",
-            w.name,
-            full.to_string(),
-            fmt_ratio(full.speedup_of(&no1cc)),
-            fmt_ratio(full.speedup_of(&noopt)),
-            fmt_ratio(full.speedup_of(&noprim)),
-        );
+        ablation_row(w.name, w, None, s);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Journal overhead: trace off vs a bounded ring vs a tiny ring
+// ----------------------------------------------------------------------
+
+fn table_trace_overhead(s: Scale) {
+    header("trace-overhead  journal cost on the mark loops (ratio vs trace off)");
+    let ws: Vec<&wl::Workload> = wl::mark_micros()
+        .iter()
+        .filter(|w| matches!(w.name, "set-loop" | "first-some-loop" | "set-arg-call-loop"))
+        .collect();
+    print!("{:10}", "trace");
+    for w in &ws {
+        print!(" {:>32}", w.name);
+    }
+    println!();
+    // Off is the state every other table runs in; a 4k ring evicts in
+    // steady state, a 64-entry ring on nearly every event.
+    let mut off = Vec::new();
+    for (label, trace, capacity) in [
+        ("off", false, 0),
+        ("4k-ring", true, 4096),
+        ("64-ring", true, 64),
+    ] {
+        print!("{label:10}");
+        for (i, w) in ws.iter().enumerate() {
+            let mut config = EngineConfig::full();
+            config.machine.trace = trace;
+            config.machine.trace_capacity = capacity;
+            let t = measure(&mut Engine::new(config), w, scaled(w, s), s.runs);
+            if !trace {
+                off.push(t);
+            }
+            print!(
+                " {:>24} {:>7}",
+                t.to_string(),
+                fmt_ratio(off[i].speedup_of(&t))
+            );
+        }
+        println!();
     }
 }
 
@@ -352,17 +318,32 @@ const ALL_TABLES: &[Table] = &[
     ("contract", table_contract),
     ("apps", table_apps),
     ("ablations", table_ablations),
+    ("trace-overhead", table_trace_overhead),
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list") {
+fn main() -> ExitCode {
+    let (mut quick, mut list, mut selected) = (false, false, Vec::new());
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--list" => list = true,
+            name if ALL_TABLES.iter().any(|(t, _)| *t == name) => selected.push(name.to_owned()),
+            _ => {
+                eprintln!(
+                    "tables: unknown table or flag `{arg}` (`tables --list` names the tables)"
+                );
+                eprintln!("usage: tables [--quick] [TABLE ...] | tables --list");
+                return ExitCode::from(2);
+            }
+        }
+    }
+    if list {
         for (name, _) in ALL_TABLES {
             println!("{name}");
         }
-        return;
+        return ExitCode::SUCCESS;
     }
-    let scale = if args.iter().any(|a| a == "--quick") {
+    let scale = if quick {
         Scale {
             divisor: 10,
             runs: 2,
@@ -373,14 +354,9 @@ fn main() {
             runs: 5,
         }
     };
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
     let start = Instant::now();
     for (name, f) in ALL_TABLES {
-        if selected.is_empty() || selected.contains(name) {
+        if selected.is_empty() || selected.iter().any(|s| s == name) {
             f(scale);
         }
     }
@@ -391,4 +367,5 @@ fn main() {
         scale.divisor,
         scale.runs
     );
+    ExitCode::SUCCESS
 }
