@@ -123,3 +123,39 @@ fn injected_prim_fault_is_clean_and_recoverable() {
     assert_eq!(e.eval_to_string("(+ 1 2)").unwrap(), "3");
     assert!(e.machine_mut().stats.injected_faults >= 1);
 }
+
+#[test]
+fn continuation_arity_errors_leave_the_engine_idle_and_reusable() {
+    // A continuation takes exactly one value, whether a non-tail call, a
+    // tail call or `apply` hands it the wrong number.
+    let cases = [
+        ("(call/cc (lambda (k) (+ 1 (k))))", 0),
+        ("(call/cc (lambda (k) (+ 1 (k 1 2))))", 2),
+        ("(call/cc (lambda (k) (k)))", 0),
+        ("(call/cc (lambda (k) (k 1 2)))", 2),
+        ("(call/cc (lambda (k) (+ 1 (apply k '()))))", 0),
+        ("(call/cc (lambda (k) (apply k '(1 2))))", 2),
+    ];
+    for (name, config) in all_configs() {
+        let mut e = Engine::new(config);
+        for (src, got) in cases {
+            let kind = runtime_kind(e.eval(src).unwrap_err());
+            assert_eq!(
+                kind,
+                VmErrorKind::Arity {
+                    who: "continuation".into(),
+                    expected: "1".into(),
+                    got,
+                },
+                "[{name}] {src}"
+            );
+            assert!(e.machine_mut().is_idle(), "[{name}] {src}");
+            assert_eq!(
+                e.eval_to_string("(+ 1 (call/cc (lambda (k) (+ 10 (k 41)))))")
+                    .unwrap(),
+                "42",
+                "[{name}] engine poisoned after {src}"
+            );
+        }
+    }
+}

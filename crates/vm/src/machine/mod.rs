@@ -35,7 +35,7 @@ use crate::code::{Code, Instr};
 use crate::config::{MachineConfig, MarkModel};
 use crate::error::{BacktraceFrame, VmBacktrace, VmError, VmErrorKind, VmResult};
 use crate::heap::{self, GcReport, HClosure, HCont, RootGuard};
-use crate::prims::{self, ControlOp, NativeId};
+use crate::prims::{self, ControlOp};
 use crate::stats::MachineStats;
 use crate::trace::{TraceJournal, TraceKind};
 use crate::values::{Closure, Value};
@@ -242,6 +242,30 @@ enum LoopExit {
     Suspended,
 }
 
+impl LoopExit {
+    /// The value of a run that cannot suspend: a nested run, or a
+    /// top-level run outside slice mode.
+    fn value(self) -> VmResult<Value> {
+        match self {
+            LoopExit::Done(v) => Ok(v),
+            LoopExit::Suspended => Err(VmError::internal(
+                "run",
+                "suspension escaped a nested or unsliced run",
+            )),
+        }
+    }
+}
+
+impl RunStatus {
+    /// The value of a top-level run outside slice mode.
+    fn finished(self) -> VmResult<Value> {
+        match self {
+            RunStatus::Done(v) => Ok(v),
+            RunStatus::Suspended(_) => LoopExit::Suspended.value(),
+        }
+    }
+}
+
 /// The virtual machine.
 ///
 /// A machine owns its stacks and registers; globals are shared (with the
@@ -435,21 +459,8 @@ impl Machine {
     /// Any [`VmError`] raised during execution; the machine is reset to an
     /// idle state on error.
     pub fn run_code(&mut self, code: Rc<Code>) -> VmResult<Value> {
-        self.ensure_idle();
-        self.arm_limits();
-        heap::begin_run();
-        let r = self
-            .push_frame(code, None, Vec::new())
-            .and_then(|()| self.run_until_done());
-        let out = self.finish_run(r);
-        self.drain_alloc_events();
-        heap::end_run();
-        if let Ok(v) = &out {
-            // The result escapes into embedder hands: tenure it so no
-            // later run's collection can free it.
-            heap::tenure_value(*v);
-        }
-        out
+        self.run_top(None, |m| m.enter_code(code))
+            .and_then(RunStatus::finished)
     }
 
     /// Calls a Scheme value from Rust (the machine must be idle).
@@ -459,20 +470,8 @@ impl Machine {
     /// Any [`VmError`] raised during execution; the machine is reset to an
     /// idle state on error.
     pub fn call_value(&mut self, f: Value, args: Vec<Value>) -> VmResult<Value> {
-        self.ensure_idle();
-        self.arm_limits();
-        heap::begin_run();
-        let r = (|| match self.do_call(f, args, CallMode::NonTail)? {
-            Some(v) => Ok(v),
-            None => self.run_until_done(),
-        })();
-        let out = self.finish_run(r);
-        self.drain_alloc_events();
-        heap::end_run();
-        if let Ok(v) = &out {
-            heap::tenure_value(*v);
-        }
-        out
+        self.run_top(None, |m| m.call_with(f, &args, CallMode::NonTail))
+            .and_then(RunStatus::finished)
     }
 
     /// Runs a top-level code object for at most `slice` steps.
@@ -497,20 +496,7 @@ impl Machine {
     /// Any [`VmError`] raised during execution; the machine is reset to an
     /// idle state on error. [`VmErrorKind::OutOfFuel`] cannot occur.
     pub fn run_code_sliced(&mut self, code: Rc<Code>, slice: u64) -> VmResult<RunStatus> {
-        self.ensure_idle();
-        self.arm_limits();
-        self.begin_slice(slice);
-        heap::begin_run();
-        let r = self
-            .push_frame(code, None, Vec::new())
-            .and_then(|()| self.run_loop());
-        let out = self.finish_slice(r);
-        self.drain_alloc_events();
-        heap::end_run();
-        if let Ok(RunStatus::Done(v)) = &out {
-            heap::tenure_value(*v);
-        }
-        out
+        self.run_top(Some(slice), |m| m.enter_code(code))
     }
 
     /// Resumes a [`SuspendedRun`] for at most `slice` further steps.
@@ -528,11 +514,6 @@ impl Machine {
     /// Any [`VmError`] raised during execution; the machine is reset to an
     /// idle state on error.
     pub fn resume(&mut self, run: SuspendedRun, slice: u64) -> VmResult<RunStatus> {
-        self.ensure_idle();
-        self.arm_limits();
-        self.begin_slice(slice);
-        heap::begin_run();
-        self.trace(TraceKind::Resume);
         let SuspendedRun {
             head,
             base_marks,
@@ -540,20 +521,65 @@ impl Machine {
             meta,
             _roots,
         } = run;
-        self.base_marks = base_marks;
-        self.winders = winders;
-        self.meta = meta;
-        let r = self.unfreeze_head(head).and_then(|()| self.run_loop());
-        // The suspended state is live machine state now; its standing
-        // root registration can go.
+        let out = self.run_top(Some(slice), |m| {
+            m.trace(TraceKind::Resume);
+            m.base_marks = base_marks;
+            m.winders = winders;
+            m.meta = meta;
+            m.unfreeze_head(head).map(|()| None)
+        });
+        // The suspended state is live machine state once resumed; its
+        // standing root registration is kept until the run is over.
         drop(_roots);
-        let out = self.finish_slice(r);
+        out
+    }
+
+    /// The envelope every top-level entry shares: requires an idle
+    /// machine, arms the per-run limits (and slice mode, given a
+    /// `slice`), lets `enter` install the run's first frame (or finish
+    /// outright with `Some(value)`), runs the loop, closes out with
+    /// [`Machine::finish_top`], and tenures a finished run's result: it
+    /// escapes into embedder hands, so no later run's collection may free
+    /// it.
+    fn run_top(
+        &mut self,
+        slice: Option<u64>,
+        enter: impl FnOnce(&mut Machine) -> VmResult<Option<Value>>,
+    ) -> VmResult<RunStatus> {
+        self.ensure_idle();
+        self.arm_limits();
+        if let Some(slice) = slice {
+            self.begin_slice(slice);
+        }
+        heap::begin_run();
+        let r = match enter(self) {
+            Ok(Some(v)) => Ok(LoopExit::Done(v)),
+            Ok(None) => self.run_loop(),
+            Err(e) => Err(e),
+        };
+        let out = self.finish_top(r);
         self.drain_alloc_events();
         heap::end_run();
         if let Ok(RunStatus::Done(v)) = &out {
             heap::tenure_value(*v);
         }
         out
+    }
+
+    /// Installs `code` as the entry frame of a top-level run: the one
+    /// frame [`Machine::call_at`] does not push, because it runs a code
+    /// object rather than a procedure.
+    fn enter_code(&mut self, code: Rc<Code>) -> VmResult<Option<Value>> {
+        self.frames.push(Frame {
+            code,
+            closure: None,
+            pc: 0,
+            base: 0,
+        });
+        if self.eager_marks() {
+            self.push_mark_entry();
+        }
+        Ok(None)
     }
 
     /// Arms slice mode: fuel becomes the per-slice step budget and
@@ -583,15 +609,17 @@ impl Machine {
         Ok(())
     }
 
-    /// Finishes a slice: `Done`/`Err` close out like [`Machine::finish_run`];
-    /// `Suspended` freezes the live state into a [`SuspendedRun`]
-    /// (checking [`Machine::check_invariants`] at the suspension point
-    /// when configured) and leaves the machine idle.
-    fn finish_slice(&mut self, r: VmResult<LoopExit>) -> VmResult<RunStatus> {
-        self.slice_mode = false;
+    /// Finishes a top-level run: `Done`/`Err` close out like
+    /// [`Machine::finish_run`]; `Suspended` (only a sliced run suspends)
+    /// freezes the live state into a [`SuspendedRun`] (checking
+    /// [`Machine::check_invariants`] at the suspension point when
+    /// configured) and leaves the machine idle.
+    fn finish_top(&mut self, r: VmResult<LoopExit>) -> VmResult<RunStatus> {
+        if mem::take(&mut self.slice_mode) {
+            // Slice fuel must not leak into subsequent ordinary runs.
+            self.fuel = self.config.fuel;
+        }
         self.pending_block = false;
-        // Slice fuel must not leak into subsequent ordinary runs.
-        self.fuel = self.config.fuel;
         match r {
             Ok(LoopExit::Done(v)) => self.finish_run(Ok(v)).map(RunStatus::Done),
             Ok(LoopExit::Suspended) => {
@@ -726,16 +754,9 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Runs the interpreter loop to completion. Suspension cannot escape
-    /// here: nested executions run at depth > 0, and the sliced entry
-    /// points use [`Machine::run_loop`] directly.
+    /// here: nested executions run at depth > 0.
     fn run_until_done(&mut self) -> VmResult<Value> {
-        match self.run_loop()? {
-            LoopExit::Done(v) => Ok(v),
-            LoopExit::Suspended => Err(VmError::internal(
-                "run",
-                "suspension escaped a nested or unsliced run",
-            )),
-        }
+        self.run_loop().and_then(LoopExit::value)
     }
 
     /// Runs the interpreter loop until the program finishes, suspends or
@@ -868,14 +889,12 @@ impl Machine {
                     }
                 }
                 Instr::CallWithAttachment(n) => {
-                    let (rator, args) = self.pop_call(n as usize)?;
-                    if let Some(v) = self.do_call(rator, args, CallMode::WithAttachment)? {
+                    if let Some(v) = self.call_at(n as usize, CallMode::WithAttachment)? {
                         return Ok(LoopExit::Done(v));
                     }
                 }
                 Instr::EagerCallShared(n) => {
-                    let (rator, args) = self.pop_call(n as usize)?;
-                    if let Some(v) = self.do_call(rator, args, CallMode::EagerShared)? {
+                    if let Some(v) = self.call_at(n as usize, CallMode::EagerShared)? {
                         return Ok(LoopExit::Done(v));
                     }
                 }
@@ -946,10 +965,7 @@ impl Machine {
                 Instr::CurrentAttachments => {
                     self.stack.push(self.marks);
                 }
-                Instr::EagerPushFrame => {
-                    self.mark_stack.push(Vec::new());
-                    self.trace(TraceKind::MarkStackPush);
-                }
+                Instr::EagerPushFrame => self.push_mark_entry(),
                 Instr::EagerPopFrame => {
                     self.mark_stack.pop();
                 }
@@ -1052,117 +1068,147 @@ impl Machine {
             .ok_or_else(|| VmError::internal(site, "value stack empty"))
     }
 
-    fn pop_call(&mut self, argc: usize) -> VmResult<(Value, Vec<Value>)> {
-        let at = self.stack.len().checked_sub(argc).ok_or_else(|| {
-            VmError::internal("call", "fewer values on stack than the call site expects")
-        })?;
-        let args = self.stack.split_off(at);
-        let rator = self.pop_value("call")?;
-        Ok((rator, args))
-    }
-
     // ------------------------------------------------------------------
     // Calls and returns
     // ------------------------------------------------------------------
 
-    /// Calls the procedure `argc + 1` slots below the top of the stack on
-    /// the `argc` values above it, leaving the arguments where the call
-    /// site pushed them when it can:
+    /// Applies the procedure `argc + 1` slots below the top of the stack
+    /// to the `argc` values above it. Every procedure call goes through
+    /// here: the four call instructions and, via [`Machine::call_with`],
+    /// every call made from Rust. Returns `Ok(Some(v))` if the whole
+    /// execution finished with `v`.
     ///
-    /// - a fixed-arity closure's non-tail frame slides them down one slot,
-    ///   over the rator, so the rator slot becomes the frame base;
-    /// - a fixed-arity tail call slides them down to the current frame's
-    ///   base;
-    /// - a `Pure` native reads them in place.
+    /// The arguments stay where the caller pushed them:
     ///
-    /// Everything else (rest arity, arity errors, `Machine`/`Control`
-    /// natives, continuations, non-procedures, and a non-tail call that
-    /// must split the segment) pops them into a vector, as
-    /// [`Machine::do_call`] takes them.
+    /// - a closure's frame slides them down one slot, over the rator, so
+    ///   the rator slot becomes the frame base; a rest list is built from
+    ///   the surplus arguments first;
+    /// - a non-tail call that must split the segment at
+    ///   `segment_frame_limit`, and a §7.2 case (b) call, first freeze
+    ///   the stack below the rator, so the frame lands at base 0 of the
+    ///   fresh segment;
+    /// - a tail call slides them down to the current frame's base and
+    ///   reuses the frame;
+    /// - a `Pure` native reads them in place, and `Machine` and `Control`
+    ///   natives take them off the stack;
+    /// - a continuation reads its one argument.
     fn call_at(&mut self, argc: usize, mode: CallMode) -> VmResult<Option<Value>> {
-        if let Some(rator_slot) = self.stack.len().checked_sub(argc + 1) {
-            let at = rator_slot + 1;
-            match self.stack[rator_slot] {
-                Value::Closure(cl) => {
-                    let code = cl.code();
-                    if !code.rest && usize::from(code.arity_required) == argc {
-                        match mode {
-                            CallMode::NonTail
-                                if self.frames.len() < self.config.segment_frame_limit =>
-                            {
-                                let base = u32::try_from(rator_slot).map_err(|_| {
-                                    VmError::internal_recoverable(
-                                        "push-frame",
-                                        "value stack exceeds u32 range",
-                                    )
-                                })?;
-                                self.stack.copy_within(at.., rator_slot);
-                                self.stack.pop();
-                                self.frames.push(Frame {
-                                    code,
-                                    closure: Some(cl),
-                                    pc: 0,
-                                    base,
-                                });
-                                if self.eager_marks() {
-                                    self.mark_stack.push(Vec::new());
-                                    self.trace(TraceKind::MarkStackPush);
-                                }
-                                return Ok(None);
-                            }
-                            CallMode::Tail => {
-                                if let Some(f) = self.frames.last_mut() {
-                                    let base = f.base as usize;
-                                    if base <= rator_slot {
-                                        self.stack.copy_within(at.., base);
-                                        self.stack.truncate(base + argc);
-                                        f.pc = 0;
-                                        f.code = code;
-                                        f.closure = Some(cl);
-                                        return Ok(None);
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    let args = self.stack.split_off(at);
-                    self.stack.pop();
-                    return self.call_closure(cl, code, args, mode).map(|()| None);
-                }
-                Value::Native(id) => {
-                    let def = prims::def(id);
-                    if let prims::NativeImpl::Pure(f) = def.imp {
-                        def.check_arity(argc)?;
-                        self.note_prim_call(def.name)?;
-                        let v = f(&self.stack[at..])?;
-                        self.stack.truncate(rator_slot);
-                        return self.deliver_native_result(v, mode);
-                    }
-                }
-                _ => {}
-            }
-        }
-        let (rator, args) = self.pop_call(argc)?;
-        self.do_call(rator, args, mode)
-    }
-
-    /// Applies `rator` to `args` in the given call mode. Returns
-    /// `Ok(Some(v))` if the whole execution finished with `v`.
-    pub(crate) fn do_call(
-        &mut self,
-        rator: Value,
-        args: Vec<Value>,
-        mode: CallMode,
-    ) -> VmResult<Option<Value>> {
-        match rator {
+        let rator_slot = self.stack.len().checked_sub(argc + 1).ok_or_else(|| {
+            VmError::internal("call", "fewer values on stack than the call site expects")
+        })?;
+        let at = rator_slot + 1;
+        match self.stack[rator_slot] {
             Value::Closure(cl) => {
-                self.call_closure(cl, cl.code(), args, mode)?;
+                let code = cl.code();
+                let required = usize::from(code.arity_required);
+                let argc = if !code.rest && argc == required {
+                    argc
+                } else if argc < required || !code.rest {
+                    let expected = if code.rest {
+                        format!("at least {required}")
+                    } else {
+                        format!("{required}")
+                    };
+                    return Err(VmError::arity(code.name.clone(), expected, argc));
+                } else {
+                    let rest = Value::list(self.stack.drain(at + required..));
+                    self.stack.push(rest);
+                    required + 1
+                };
+                let base = match mode {
+                    CallMode::NonTail | CallMode::EagerShared
+                        if self.frames.len() < self.config.segment_frame_limit =>
+                    {
+                        rator_slot
+                    }
+                    CallMode::NonTail | CallMode::EagerShared => {
+                        self.trace(TraceKind::OverflowSplit);
+                        self.freeze_below(rator_slot, self.marks);
+                        0
+                    }
+                    CallMode::WithAttachment => {
+                        // §7.2 case (b): reify with (cdr marks) in the
+                        // underflow record so the attachment pops when
+                        // the callee returns.
+                        let rest = self.marks_rest()?;
+                        self.trace(TraceKind::Reify);
+                        self.freeze_below(rator_slot, rest);
+                        0
+                    }
+                    CallMode::Tail => {
+                        let Some(f) = self.frames.last_mut() else {
+                            return Err(VmError::internal(
+                                "tail-call",
+                                "tail call without a frame",
+                            ));
+                        };
+                        let base = f.base as usize;
+                        if base > rator_slot {
+                            return Err(VmError::internal(
+                                "tail-call",
+                                "callee below the current frame's base",
+                            ));
+                        }
+                        self.stack.copy_within(at.., base);
+                        self.stack.truncate(base + argc);
+                        f.pc = 0;
+                        f.code = code;
+                        f.closure = Some(cl);
+                        // The eager mark entry is intentionally retained:
+                        // a tail call shares its caller's continuation
+                        // frame, so the old Racket model keeps that
+                        // frame's marks.
+                        return Ok(None);
+                    }
+                };
+                let frame_base = u32::try_from(base).map_err(|_| {
+                    VmError::internal_recoverable("push-frame", "value stack exceeds u32 range")
+                })?;
+                self.stack.copy_within(base + 1.., base);
+                self.stack.pop();
+                self.frames.push(Frame {
+                    code,
+                    closure: Some(cl),
+                    pc: 0,
+                    base: frame_base,
+                });
+                // An `EagerShared` callee shares the mark entry already on
+                // top of the mark stack (the conceptual frame of a
+                // non-tail with-continuation-mark); its return pops it.
+                if self.eager_marks() && mode != CallMode::EagerShared {
+                    self.push_mark_entry();
+                }
                 Ok(None)
             }
-            Value::Native(id) => self.call_native(id, args, mode),
+            Value::Native(id) => {
+                let def = prims::def(id);
+                def.check_arity(argc)?;
+                self.note_prim_call(def.name)?;
+                match def.imp {
+                    prims::NativeImpl::Pure(f) => {
+                        let v = f(&self.stack[at..])?;
+                        self.stack.truncate(rator_slot);
+                        self.deliver_native_result(v, mode)
+                    }
+                    prims::NativeImpl::Machine(f) => {
+                        let args = self.stack.split_off(at);
+                        self.stack.truncate(rator_slot);
+                        let v = f(self, args)?;
+                        self.deliver_native_result(v, mode)
+                    }
+                    prims::NativeImpl::Control(op) => {
+                        let args = self.stack.split_off(at);
+                        self.stack.truncate(rator_slot);
+                        self.control_op(op, args, mode)
+                    }
+                }
+            }
             Value::Cont(k) => {
-                let v = one_arg_for_cont(args)?;
+                if argc != 1 {
+                    return Err(VmError::arity("continuation", "1", argc));
+                }
+                let v = self.stack[at];
+                self.stack.truncate(rator_slot);
                 // The current frame is dead on a tail application; it must
                 // not be captured by a composable splice.
                 self.discard_frame_if_tail(mode)?;
@@ -1172,78 +1218,22 @@ impl Machine {
         }
     }
 
-    fn call_closure(
-        &mut self,
-        cl: HClosure,
-        code: Rc<Code>,
-        args: Vec<Value>,
-        mode: CallMode,
-    ) -> VmResult<()> {
-        let args = check_arity(&code, args)?;
-        match mode {
-            CallMode::NonTail => {
-                if self.frames.len() >= self.config.segment_frame_limit {
-                    self.trace(TraceKind::OverflowSplit);
-                    self.freeze_current(self.marks);
-                }
-                self.push_frame(code, Some(cl), args)?;
-            }
-            CallMode::EagerShared => {
-                // Like NonTail, but the callee's frame shares the mark
-                // entry already on top of the mark stack (the conceptual
-                // frame of a non-tail with-continuation-mark); the
-                // callee's return pops it.
-                if self.frames.len() >= self.config.segment_frame_limit {
-                    self.trace(TraceKind::OverflowSplit);
-                    self.freeze_current(self.marks);
-                }
-                self.push_frame_no_entry(code, Some(cl), args)?;
-            }
-            CallMode::Tail => {
-                let Some(f) = self.frames.last_mut() else {
-                    return Err(VmError::internal("tail-call", "tail call without a frame"));
-                };
-                self.stack.truncate(f.base as usize);
-                self.stack.extend(args);
-                f.pc = 0;
-                f.code = code;
-                f.closure = Some(cl);
-                // The eager mark entry is intentionally retained: a tail
-                // call shares its caller's continuation frame, so the old
-                // Racket model keeps that frame's marks.
-            }
-            CallMode::WithAttachment => {
-                // §7.2 case (b): reify with (cdr marks) in the underflow
-                // record so the attachment pops when the callee returns.
-                let rest = self.marks_rest()?;
-                self.trace(TraceKind::Reify);
-                self.freeze_current(rest);
-                self.push_frame(code, Some(cl), args)?;
-            }
-        }
-        Ok(())
+    /// Pushes `f` and `args` and applies `f` to them with
+    /// [`Machine::call_at`]: how Rust code calls a procedure.
+    fn call_with(&mut self, f: Value, args: &[Value], mode: CallMode) -> VmResult<Option<Value>> {
+        self.stack.push(f);
+        self.stack.extend_from_slice(args);
+        self.call_at(args.len(), mode)
     }
 
-    fn call_native(
-        &mut self,
-        id: NativeId,
-        args: Vec<Value>,
-        mode: CallMode,
-    ) -> VmResult<Option<Value>> {
-        let def = prims::def(id);
-        def.check_arity(args.len())?;
-        self.note_prim_call(def.name)?;
-        match def.imp {
-            prims::NativeImpl::Pure(f) => {
-                let v = f(&args)?;
-                self.deliver_native_result(v, mode)
-            }
-            prims::NativeImpl::Machine(f) => {
-                let v = f(self, args)?;
-                self.deliver_native_result(v, mode)
-            }
-            prims::NativeImpl::Control(op) => self.control_op(op, args, mode),
-        }
+    /// Splits the segment for a call: freezes the live stack below slot
+    /// `from` into an underflow record restoring `restore_marks`, and
+    /// carries `stack[from..]` (the callee and its arguments) over as the
+    /// whole of the fresh segment's stack.
+    fn freeze_below(&mut self, from: usize, restore_marks: Value) {
+        let callee = self.stack.split_off(from);
+        self.freeze_current(restore_marks);
+        self.stack = callee;
     }
 
     /// Delivers the result of an inline (native) call according to mode.
@@ -1278,37 +1268,11 @@ impl Machine {
         }
     }
 
-    fn push_frame(
-        &mut self,
-        code: Rc<Code>,
-        closure: Option<HClosure>,
-        args: Vec<Value>,
-    ) -> VmResult<()> {
-        self.push_frame_no_entry(code, closure, args)?;
-        if self.eager_marks() {
-            self.mark_stack.push(Vec::new());
-            self.trace(TraceKind::MarkStackPush);
-        }
-        Ok(())
-    }
-
-    fn push_frame_no_entry(
-        &mut self,
-        code: Rc<Code>,
-        closure: Option<HClosure>,
-        args: Vec<Value>,
-    ) -> VmResult<()> {
-        let base = u32::try_from(self.stack.len()).map_err(|_| {
-            VmError::internal_recoverable("push-frame", "value stack exceeds u32 range")
-        })?;
-        self.stack.extend(args);
-        self.frames.push(Frame {
-            code,
-            closure,
-            pc: 0,
-            base,
-        });
-        Ok(())
+    /// Pushes an empty eager mark-stack entry: the marks of one new
+    /// continuation frame in the old Racket model.
+    fn push_mark_entry(&mut self) {
+        self.mark_stack.push(Vec::new());
+        self.trace(TraceKind::MarkStackPush);
     }
 
     /// Returns `v` from the current frame; `Ok(Some(_))` means the whole
@@ -1551,7 +1515,7 @@ impl Machine {
                         None
                     },
                 });
-                self.do_call(proc, vec![k], CallMode::NonTail)
+                self.call_with(proc, &[k], CallMode::NonTail)
             }
             ControlOp::Apply => {
                 let lst = pop_arg(&mut args, "apply")?;
@@ -1563,7 +1527,7 @@ impl Machine {
                     VmError::wrong_type("apply", "proper list as last argument", &lst)
                 })?;
                 args.extend(tail);
-                self.do_call(f, args, mode)
+                self.call_with(f, &args, mode)
             }
             ControlOp::PromptCall => {
                 let handler = pop_arg(&mut args, "prompt")?;
@@ -1582,7 +1546,7 @@ impl Machine {
                     mark_stack: mem::take(&mut self.mark_stack),
                 };
                 self.meta.push(mf);
-                self.do_call(thunk, vec![], CallMode::NonTail)
+                self.call_with(thunk, &[], CallMode::NonTail)
             }
             ControlOp::Abort => {
                 let v = pop_arg(&mut args, "abort")?;
@@ -1594,7 +1558,7 @@ impl Machine {
                     if mf.tag.eq_value(&tag) {
                         let handler = mf.handler;
                         self.restore_meta(mf);
-                        return self.do_call(handler, vec![v], CallMode::NonTail);
+                        return self.call_with(handler, &[v], CallMode::NonTail);
                     }
                 }
             }
@@ -1603,7 +1567,7 @@ impl Machine {
                 let tag = pop_arg(&mut args, "composable-capture")?;
                 self.discard_frame_if_tail(mode)?;
                 let k = self.capture_composable(&tag)?;
-                self.do_call(proc, vec![k], CallMode::NonTail)
+                self.call_with(proc, &[k], CallMode::NonTail)
             }
             ControlOp::CallSettingAttachment => {
                 let thunk = pop_arg(&mut args, "call/cm")?;
@@ -1631,7 +1595,7 @@ impl Machine {
                     self.marks = Value::cons(val, self.marks);
                 }
                 self.trace(TraceKind::AttachPush);
-                self.do_call(thunk, vec![], CallMode::NonTail)
+                self.call_with(thunk, &[], CallMode::NonTail)
             }
             ControlOp::CallGettingAttachment | ControlOp::CallConsumingAttachment => {
                 let proc = pop_arg(&mut args, "call-getting-attachment")?;
@@ -1655,7 +1619,7 @@ impl Machine {
                 } else {
                     dflt
                 };
-                self.do_call(proc, vec![v], CallMode::NonTail)
+                self.call_with(proc, &[v], CallMode::NonTail)
             }
         }
     }
@@ -1770,7 +1734,7 @@ impl Machine {
     /// marks installed (paper footnote 4).
     fn run_winder_thunk(&mut self, thunk: Value, marks: Value) -> VmResult<()> {
         self.trace(TraceKind::WinderEnter);
-        let r = self.run_nested(thunk, Vec::new(), marks).map(drop);
+        let r = self.run_nested(thunk, marks).map(drop);
         if r.is_ok() {
             // Journal-only: a winder that faults enters but never leaves,
             // so `WinderLeave` has no mirrored counter.
@@ -1779,13 +1743,9 @@ impl Machine {
         r
     }
 
-    /// Runs `f(args)` to completion in a nested execution context.
-    pub(crate) fn run_nested(
-        &mut self,
-        f: Value,
-        args: Vec<Value>,
-        marks: Value,
-    ) -> VmResult<Value> {
+    /// Runs the thunk `f` to completion in a nested execution context
+    /// with `marks` as its marks register.
+    fn run_nested(&mut self, f: Value, marks: Value) -> VmResult<Value> {
         if self.nested_depth >= self.config.max_nested_executions {
             return Err(VmErrorKind::NativeDepthExceeded {
                 limit: self.config.max_nested_executions,
@@ -1800,10 +1760,11 @@ impl Machine {
         self.nested_depth += 1;
         self.marks = marks;
         self.base_marks = marks;
-        let result = (|| match self.do_call(f, args, CallMode::NonTail)? {
-            Some(v) => Ok(v),
-            None => self.run_until_done(),
-        })();
+        let result = match self.call_with(f, &[], CallMode::NonTail) {
+            Ok(Some(v)) => Ok(v),
+            Ok(None) => self.run_until_done(),
+            Err(e) => Err(e),
+        };
         self.nested_depth -= 1;
         match self.saved_states.pop() {
             Some(saved) => self.restore_state(saved),
@@ -2483,30 +2444,6 @@ fn pop_arg(args: &mut Vec<Value>, site: &'static str) -> VmResult<Value> {
         .ok_or_else(|| VmError::internal(site, "arity-checked argument missing"))
 }
 
-fn one_arg_for_cont(args: Vec<Value>) -> VmResult<Value> {
-    match <[Value; 1]>::try_from(args) {
-        Ok([v]) => Ok(v),
-        Err(args) => Err(VmError::arity("continuation", "1", args.len())),
-    }
-}
-
-fn check_arity(code: &Code, mut args: Vec<Value>) -> VmResult<Vec<Value>> {
-    let required = code.arity_required as usize;
-    if args.len() < required || (!code.rest && args.len() > required) {
-        let expected = if code.rest {
-            format!("at least {required}")
-        } else {
-            format!("{required}")
-        };
-        return Err(VmError::arity(code.name.clone(), expected, args.len()));
-    }
-    if code.rest {
-        let rest = Value::list(args.split_off(required));
-        args.push(rest);
-    }
-    Ok(args)
-}
-
 /// The marks that `marks` adds relative to `boundary`, newest first.
 fn marks_prefix(marks: &Value, boundary: &Value) -> VmResult<Vec<Value>> {
     let mut out = Vec::new();
@@ -2952,13 +2889,19 @@ mod tests {
         assert!(m.stats.attachments_pushed >= 1);
     }
 
-    /// Top-level code that makes a closure over `callee` and calls it
-    /// with `args` constants through `call` (`Call` or `TailCall`).
-    fn call_closure_code(callee: Code, args: &[Value], call: fn(u16) -> Instr) -> Rc<Code> {
-        let mut instrs = vec![Instr::MakeClosure {
+    /// Top-level code that runs `before`, then makes a closure over
+    /// `callee` and calls it with `args` constants through `call`.
+    fn call_closure_code(
+        callee: Code,
+        args: &[Value],
+        before: &[Instr],
+        call: fn(u16) -> Instr,
+    ) -> Rc<Code> {
+        let mut instrs = before.to_vec();
+        instrs.push(Instr::MakeClosure {
             code: 0,
             captures: 0,
-        }];
+        });
         instrs.extend((0..args.len() as u16).map(Instr::Const));
         instrs.push(call(args.len() as u16));
         instrs.push(Instr::Return);
@@ -3001,11 +2944,35 @@ mod tests {
             (fixed(), &three, "2", 3),
             (rest(), &one, "at least 2", 1),
         ];
+        // Each call instruction with what the compiler emits before it:
+        // `CallWithAttachment` ends a body whose attachment is pushed
+        // (here the empty marks list), and `EagerCallShared` shares the
+        // mark entry pushed for a non-tail mark's frame.
+        // The last field says whether the call needs the eager model.
+        type CallShape = (fn(u16) -> Instr, &'static [Instr], bool);
+        let calls: [CallShape; 4] = [
+            (Instr::Call, &[], false),
+            (Instr::TailCall, &[], false),
+            (
+                Instr::CallWithAttachment,
+                &[Instr::CurrentAttachments, Instr::PushAttach],
+                false,
+            ),
+            (Instr::EagerCallShared, &[Instr::EagerPushFrame], true),
+        ];
+        let machine = |eager: bool| {
+            let config = MachineConfig::default();
+            Machine::new(if eager {
+                config.with_eager_mark_stack()
+            } else {
+                config
+            })
+        };
         for (callee, args, expected, got) in cases {
-            for call in [Instr::Call as fn(u16) -> Instr, Instr::TailCall] {
-                let mut m = Machine::new(MachineConfig::default());
+            for (call, before, eager) in calls {
+                let mut m = machine(eager);
                 let err = m
-                    .run_code(call_closure_code(callee.clone(), args, call))
+                    .run_code(call_closure_code(callee.clone(), args, before, call))
                     .unwrap_err();
                 assert_eq!(
                     err.kind,
@@ -3013,17 +2980,22 @@ mod tests {
                         who: callee.name.clone(),
                         expected: expected.into(),
                         got,
-                    }
+                    },
+                    "{:?}",
+                    call(0)
                 );
                 assert!(m.is_idle());
             }
         }
         // A rest closure given enough arguments still gets its rest list.
-        let mut m = Machine::new(MachineConfig::default());
-        let v = m
-            .run_code(call_closure_code(rest(), &three, Instr::Call))
-            .unwrap();
-        assert_eq!(v.write_string(), "(3)");
+        for (call, before, eager) in calls {
+            let mut m = machine(eager);
+            let v = m
+                .run_code(call_closure_code(rest(), &three, before, call))
+                .unwrap();
+            assert_eq!(v.write_string(), "(3)", "{:?}", call(0));
+            assert!(m.is_idle());
+        }
     }
 
     #[test]
@@ -3160,7 +3132,7 @@ mod tests {
             vec![Rc::new(list3)],
         );
         let v = m
-            .run_code(call_closure_code(thunk, &[], Instr::Call))
+            .run_code(call_closure_code(thunk, &[], &[], Instr::Call))
             .unwrap();
         assert_eq!(v.write_string(), "(1 2 3)");
         assert!(m.is_idle());

@@ -173,7 +173,8 @@ fn prompt_based_generator_composes_with_marks() {
 fn deep_non_tail_recursion_past_the_segment_limit_matches_refmodel() {
     // Deeper than `segment_frame_limit` (2048): non-tail calls run on the
     // in-place frame path until the limit, then split the segment; marks
-    // and a mark-observing value expression ride along every frame.
+    // and a mark-observing value expression ride along every frame, and a
+    // rest-arity callee carries its rest list across each split.
     let src = r#"
         (define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))
         (define (count n)
@@ -185,7 +186,11 @@ fn deep_non_tail_recursion_past_the_segment_limit_matches_refmodel() {
                 (car (cons (grow (- n 1)) '())))))
         (define (sum-args a b c n)
           (if (zero? n) (+ a b c) (+ 1 (sum-args c a b (- n 1)))))
-        (list (count 5000) (grow 3000) (sum-args 1 2 3 4100))
+        (define (rest-sum n . more)
+          (if (zero? n)
+              (car more)
+              (+ (- (car more) (car (cdr more))) (rest-sum (- n 1) n 1))))
+        (list (count 5000) (grow 3000) (sum-args 1 2 3 4100) (rest-sum 3000 0 0))
     "#;
     // The model has `mark-list`/`mark-first` built in; engines get shims.
     let oracle = RefInterp::new().eval(src).unwrap();
@@ -195,5 +200,16 @@ fn deep_non_tail_recursion_past_the_segment_limit_matches_refmodel() {
         let mut engine = Engine::new(config);
         engine.eval(helpers).unwrap();
         assert_eq!(engine.eval_to_string(src).unwrap(), oracle, "[{name}]");
+        // `apply` applies its procedure from Rust; the model has no
+        // `apply`, so this one is checked against its closed form.
+        let applied = "(define (apply-depth n)
+                         (if (zero? n) 0 (+ 1 (apply apply-depth (list (- n 1))))))
+                       (apply-depth 3000)";
+        engine.reset_stats();
+        assert_eq!(engine.eval_to_string(applied).unwrap(), "3000", "[{name}]");
+        assert!(
+            engine.stats().overflow_splits > 0,
+            "[{name}] no segment split"
+        );
     }
 }
